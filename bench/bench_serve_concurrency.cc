@@ -21,8 +21,7 @@
 //
 // After the gated phase, a fixed-core-budget fleet sweep (8 -> 64 sessions
 // on the same pool width, no think-time sleeping) records how aggregate
-// rounds/s and the cross-session kernel-batching occupancy scale with
-// contention.
+// rounds/s scales with contention.
 //
 // Results land in BENCH_serve_concurrency.json.
 #include <algorithm>
@@ -56,19 +55,18 @@ struct BenchConfig {
   double min_speedup = 4.0;
   bool smoke = false;
   /// Fleet sizes for the fixed-core-budget sweep (pool_threads stays
-  /// constant while the session count grows): aggregate rounds/s and the
-  /// cross-session kernel-batching occupancy at each size.
+  /// constant while the session count grows): aggregate rounds/s at each
+  /// size.
   std::vector<size_t> sweep_sessions = {8, 16, 32, 64};
   size_t sweep_budget = 2;
 };
 
 /// One fleet size of the sweep: every session driven to completion with no
-/// think-time sleeping (pure machine throughput), batching on.
+/// think-time sleeping (pure machine throughput).
 struct SweepPoint {
   size_t sessions = 0;
   double wall_seconds = 0.0;
   double rounds_per_second = 0.0;
-  ServeStats stats;
 };
 
 struct SessionSpec {
@@ -134,8 +132,8 @@ std::vector<SessionSpec> MakeSpecs(const BenchConfig& config) {
 
 // Drives one fleet size of the sweep through a fresh SessionManager on the
 // same fixed pool budget. Rounds run back to back — the sweep measures how
-// machine throughput and batch occupancy scale with fleet size, not
-// think-time overlap (the main phase covers that).
+// machine throughput scales with fleet size, not think-time overlap (the
+// main phase covers that).
 SweepPoint RunFleet(const BenchConfig& config, size_t fleet,
                     DirtyDataset* d1, DirtyDataset* d2, DirtyDataset* d3) {
   using Clock = std::chrono::steady_clock;
@@ -190,15 +188,8 @@ SweepPoint RunFleet(const BenchConfig& config, size_t fleet,
       std::chrono::duration<double>(Clock::now() - start).count();
   point.rounds_per_second =
       static_cast<double>(fleet * config.sweep_budget) / point.wall_seconds;
-  point.stats = manager.stats();
   VC_CHECK(failed.load() == 0, "sweep round failed");
   return point;
-}
-
-double Occupancy(uint64_t items, uint64_t batches) {
-  return batches > 0
-             ? static_cast<double>(items) / static_cast<double>(batches)
-             : 0.0;
 }
 
 }  // namespace
@@ -345,24 +336,15 @@ int Run(const BenchConfig& config) {
   }
 
   // ---- Fixed-core-budget fleet sweep: same pool width, growing session
-  // count; aggregate rounds/s plus the kernel-batching occupancy the
-  // contention produces.
+  // count; aggregate rounds/s under the contention that produces.
   std::vector<SweepPoint> sweep;
   for (size_t fleet : config.sweep_sessions) {
     std::printf("fleet sweep: %zu sessions x %zu rounds...\n", fleet,
                 config.sweep_budget);
     sweep.push_back(RunFleet(config, fleet, &d1, &d2, &d3));
     const SweepPoint& point = sweep.back();
-    std::printf("  %2zu sessions: %.2f rounds/s, em-infer occupancy %.2f "
-                "(%llu batches), pair-feature %.2f, knn %.2f\n",
-                point.sessions, point.rounds_per_second,
-                Occupancy(point.stats.em_infer_batch_items,
-                          point.stats.em_infer_batches),
-                (unsigned long long)point.stats.em_infer_batches,
-                Occupancy(point.stats.pair_feature_batch_items,
-                          point.stats.pair_feature_batches),
-                Occupancy(point.stats.knn_batch_items,
-                          point.stats.knn_batches));
+    std::printf("  %2zu sessions: %.2f rounds/s\n", point.sessions,
+                point.rounds_per_second);
   }
 
   // ---- Aggregate metrics.
@@ -514,21 +496,6 @@ int Run(const BenchConfig& config) {
     json.Number(point.wall_seconds);
     json.Key("rounds_per_second");
     json.Number(point.rounds_per_second);
-    json.Key("em_infer_batches");
-    json.Int(static_cast<int64_t>(point.stats.em_infer_batches));
-    json.Key("em_infer_batch_items");
-    json.Int(static_cast<int64_t>(point.stats.em_infer_batch_items));
-    json.Key("em_infer_batch_rows");
-    json.Int(static_cast<int64_t>(point.stats.em_infer_batch_rows));
-    json.Key("em_infer_occupancy");
-    json.Number(Occupancy(point.stats.em_infer_batch_items,
-                          point.stats.em_infer_batches));
-    json.Key("pair_feature_occupancy");
-    json.Number(Occupancy(point.stats.pair_feature_batch_items,
-                          point.stats.pair_feature_batches));
-    json.Key("knn_occupancy");
-    json.Number(Occupancy(point.stats.knn_batch_items,
-                          point.stats.knn_batches));
     json.EndObject();
   }
   json.EndArray();

@@ -14,7 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/kernel_scheduler.h"
+#include "common/kernel_env.h"
 #include "data/table.h"
 
 namespace visclean {
@@ -25,9 +25,9 @@ namespace visclean {
 /// FullScan alone would produce on the current table. Update may only be
 /// called when every mutation since the last scan is covered by
 /// `mutated_rows` (the caller reads them from Table::MutatedRowsSince).
-/// `env` carries the optional pool / cross-session scheduler / iteration
-/// arena; none of them may change any published value, only the wall time
-/// (deterministic index-ordered merges) and where scratch lives.
+/// `env` carries the optional pool and iteration arena; neither may change
+/// any published value, only the wall time (deterministic index-ordered
+/// merges) and where scratch lives.
 class Detector {
  public:
   virtual ~Detector() = default;

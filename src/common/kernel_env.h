@@ -1,22 +1,20 @@
-// The seam between the per-session kernels and cross-session scheduling.
+// The kernel seam: how the per-session chunk kernels execute.
 //
 // The expensive per-iteration kernels — EM forest inference, pair-feature
 // extraction, kNN distance scans — are all "pure chunk" loops: a function
 // of a global index range whose writes are indexed, so any partition of
 // [0, total) produces bit-identical results. That property is what lets one
-// call site serve three execution strategies without changing semantics:
+// call site serve two execution strategies without changing semantics:
 //
-//   * standalone session, small batch  -> run serially inline;
-//   * standalone session, large batch  -> fan out over the session pool;
-//   * served session under a KernelScheduler -> hand the range to the
-//     scheduler, which may coalesce it with other sessions' pending work of
-//     the same kind into one shared pool dispatch (serve/kernel_batcher.h).
+//   * small batch (total < min_parallel) -> run serially inline;
+//   * large batch                         -> fan out over the session pool.
 //
-// Call sites declare which kernel family a loop belongs to via KernelKind
-// so the scheduler can group compatible work and account occupancy per
-// kernel.
-#ifndef VISCLEAN_COMMON_KERNEL_SCHEDULER_H_
-#define VISCLEAN_COMMON_KERNEL_SCHEDULER_H_
+// Standalone and served sessions take the same path; a served session's
+// pool is the one its SessionManager lends it. Call sites declare which
+// kernel family a loop belongs to via KernelKind so telemetry can account
+// calls and rows per kernel.
+#ifndef VISCLEAN_COMMON_KERNEL_ENV_H_
+#define VISCLEAN_COMMON_KERNEL_ENV_H_
 
 #include <cstddef>
 #include <functional>
@@ -28,8 +26,7 @@ namespace visclean {
 
 class Arena;
 
-/// \brief The batchable kernel families (one FIFO queue each in the
-/// cross-session batcher).
+/// \brief The chunk kernel families (one telemetry family each).
 enum class KernelKind {
   kEmInference = 0,   // flat-forest PredictBatch over pair-feature rows
   kPairFeatures = 1,  // PairFeatureCache miss extraction
@@ -60,37 +57,20 @@ struct KernelSiteMetrics {
   obs::Counter* rows = nullptr;
 };
 
-/// \brief Pluggable executor for chunkable kernels.
-///
-/// Run(kind, total, fn) must invoke fn over disjoint ranges covering
-/// [0, total) exactly once, on any threads it likes, and return only after
-/// every range finished. fn must be pure per index with indexed writes
-/// (the bit-identity contract above); implementations may merge ranges
-/// from different sessions into one dispatch.
-class KernelScheduler {
- public:
-  virtual ~KernelScheduler() = default;
-  virtual void Run(KernelKind kind, size_t total,
-                   const std::function<void(size_t begin, size_t end)>& fn) = 0;
-};
-
 /// \brief The execution environment a kernel call site sees: the session
-/// pool (may be null), the cross-session scheduler (null outside the
-/// serving layer), and the per-iteration arena (null when a caller has no
-/// iteration scope). Bundled so signatures stay stable as strategies grow.
+/// pool (may be null) and the per-iteration arena (null when a caller has
+/// no iteration scope). Bundled so signatures stay stable.
 struct KernelEnv {
   ThreadPool* pool = nullptr;
-  KernelScheduler* scheduler = nullptr;
   Arena* arena = nullptr;
   /// Per-kind telemetry handles (array of kNumKernelKinds) or null when the
   /// call site has no registry attached.
   const KernelSiteMetrics* metrics = nullptr;
 };
 
-/// Executes fn over [0, total): via the scheduler when present, else the
-/// pool when `total >= min_parallel` (each site keeps its historical
-/// fan-out gate), else inline. Results are bit-identical across all three
-/// paths for fns meeting the purity contract.
+/// Executes fn over [0, total): on the pool when `total >= min_parallel`
+/// (each site keeps its historical fan-out gate), else inline. Results are
+/// bit-identical across both paths for fns meeting the purity contract.
 inline void RunKernel(KernelKind kind, const KernelEnv& env, size_t total,
                       size_t min_parallel,
                       const std::function<void(size_t, size_t)>& fn) {
@@ -102,10 +82,6 @@ inline void RunKernel(KernelKind kind, const KernelEnv& env, size_t total,
     if (m.rows != nullptr) m.rows->Add(total);
   }
 #endif
-  if (env.scheduler != nullptr) {
-    env.scheduler->Run(kind, total, fn);
-    return;
-  }
   if (env.pool != nullptr && total >= min_parallel) {
     env.pool->ParallelChunks(
         total, [&](size_t, size_t begin, size_t end) { fn(begin, end); });
@@ -116,4 +92,4 @@ inline void RunKernel(KernelKind kind, const KernelEnv& env, size_t total,
 
 }  // namespace visclean
 
-#endif  // VISCLEAN_COMMON_KERNEL_SCHEDULER_H_
+#endif  // VISCLEAN_COMMON_KERNEL_ENV_H_

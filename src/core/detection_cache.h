@@ -83,8 +83,7 @@ class DetectionCache {
  public:
   /// Brings every detector up to date with `table`. Chooses full scan vs
   /// delta update as described above; `env` routes full scans and cache-miss
-  /// recomputation through the pool / cross-session scheduler with
-  /// deterministic index-ordered merges.
+  /// recomputation through the pool with deterministic index-ordered merges.
   void BeginIteration(const Table& table, const DetectionRequest& request,
                       const KernelEnv& env);
 

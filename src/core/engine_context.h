@@ -18,7 +18,7 @@
 #include "clean/question.h"
 #include "clean/question_store.h"
 #include "common/arena.h"
-#include "common/kernel_scheduler.h"
+#include "common/kernel_env.h"
 #include "core/benefit_model.h"
 #include "core/detection_cache.h"
 #include "core/erg_cache.h"
@@ -164,10 +164,6 @@ struct EngineContext {
   EmModel em;           ///< entity-matching model, fine-tuned per iteration
   std::unique_ptr<CqgSelector> selector;  ///< set by the driver's Initialize
   ThreadPool* pool = nullptr;  ///< session-owned; null = serial benefits
-  /// Cross-session kernel scheduler (serving layer's KernelBatcher); null
-  /// for standalone sessions. When set, the chunkable kernels (EM
-  /// inference, pair features, kNN) run through it instead of `pool`.
-  KernelScheduler* kernels = nullptr;
   /// Per-iteration scratch arena: Reset() at every PlanIteration entry,
   /// so spans live exactly one plan phase (see common/arena.h). Holds the
   /// EM gather matrices, ERG traversal marks, and detector corpus tables.
@@ -180,9 +176,9 @@ struct EngineContext {
   /// attached (see VisCleanSession::SetExternalRegistry).
   KernelSiteMetrics kernel_metrics[kNumKernelKinds];
 
-  /// The kernel execution environment stages hand to the batchable loops.
+  /// The kernel execution environment stages hand to the chunk kernels.
   KernelEnv kernel_env() {
-    return KernelEnv{pool, kernels, &arena,
+    return KernelEnv{pool, &arena,
                      registry != nullptr ? kernel_metrics : nullptr};
   }
   /// Cross-iteration cache behind incremental benefit estimation: baseline

@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "clean/question_store.h"
-#include "common/kernel_scheduler.h"
+#include "common/kernel_env.h"
 #include "graph/erg.h"
 #include "graph/select_support.h"
 #include "text/sim_join.h"
@@ -173,7 +173,7 @@ class ErgCache {
   /// pass the DetectionCache's journal-invalidated cache when detection
   /// runs in kAuto mode; the payloads are bit-identical either way. `env`
   /// routes the batched EM inference behind the promoted-A payloads (and
-  /// the pooled index rebuilds) through the pool / cross-session scheduler.
+  /// the pooled index rebuilds) through the pool.
   void BeginIteration(const Table& table, const QuestionStore& store,
                       const EmModel& em, const ErgRequest& request,
                       PairFeatureCache* features, const KernelEnv& env,

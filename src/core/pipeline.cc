@@ -237,9 +237,8 @@ Status DetectStage::Run(EngineContext& ctx) {
   request.dirty_fallback_threshold = ctx.options.detection_dirty_threshold;
 
   if (ctx.options.detection_mode == DetectionMode::kAuto) {
-    // Journal-driven path: full scans fan out over the session pool (or the
-    // cross-session batcher); later iterations fold in only the rows mutated
-    // since the last scan.
+    // Journal-driven path: full scans fan out over the session pool; later
+    // iterations fold in only the rows mutated since the last scan.
     ctx.detection.BeginIteration(ctx.table, request, ctx.kernel_env());
     ctx.candidates = ctx.detection.candidates();
     if (request.numeric_y) {

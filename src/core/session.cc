@@ -89,11 +89,6 @@ void VisCleanSession::SetExternalPool(ThreadPool* pool) {
   external_pool_ = pool;
 }
 
-void VisCleanSession::SetExternalScheduler(KernelScheduler* scheduler) {
-  VC_CHECK(!initialized_, "SetExternalScheduler must precede Initialize()");
-  external_scheduler_ = scheduler;
-}
-
 void VisCleanSession::SetExternalRegistry(obs::Registry* registry) {
   VC_CHECK(!initialized_, "SetExternalRegistry must precede Initialize()");
   external_registry_ = registry;
@@ -111,7 +106,6 @@ Status VisCleanSession::Initialize() {
     pool_ = std::make_unique<ThreadPool>(ctx_.options.threads);
     ctx_.pool = pool_.get();
   }
-  ctx_.kernels = external_scheduler_;
   ctx_.registry = external_registry_;
   if (external_registry_ != nullptr) {
     for (size_t k = 0; k < kNumKernelKinds; ++k) {

@@ -28,7 +28,6 @@
 
 namespace visclean {
 
-class KernelScheduler;
 class ThreadPool;
 
 /// \brief What PlanIteration hands back while the user is deciding: a
@@ -115,12 +114,6 @@ class VisCleanSession {
   /// options.threads session-owned pool. The pool must outlive the session.
   void SetExternalPool(ThreadPool* pool);
 
-  /// Lends a cross-session kernel scheduler (the serving layer's
-  /// KernelBatcher) to this session. Must be called before Initialize();
-  /// the scheduler must outlive the session. Batchable kernels then route
-  /// through it instead of the pool — results stay bit-identical.
-  void SetExternalScheduler(KernelScheduler* scheduler);
-
   /// Lends a telemetry registry (the serving layer's per-manager
   /// obs::Registry) to this session. Must be called before Initialize();
   /// the registry must outlive the session. Stage timings and kernel call
@@ -147,7 +140,6 @@ class VisCleanSession {
   std::vector<std::unique_ptr<PipelineStage>> stages_;
   std::unique_ptr<ThreadPool> pool_;   ///< lives behind ctx_.pool
   ThreadPool* external_pool_ = nullptr;
-  KernelScheduler* external_scheduler_ = nullptr;
   obs::Registry* external_registry_ = nullptr;
 
   size_t iteration_ = 0;

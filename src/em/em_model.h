@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/kernel_scheduler.h"
+#include "common/kernel_env.h"
 #include "data/table.h"
 #include "em/pair_features.h"
 #include "ml/random_forest.h"

@@ -103,8 +103,7 @@ std::vector<const std::vector<double>*> PairFeatureCache::Batch(
   misses_ += miss_idx.size();
 
   // Miss extraction is a pure chunk kernel (indexed writes into `computed`),
-  // so any partition — pool chunks or a cross-session batch — merges to the
-  // same bytes.
+  // so any partition into pool chunks merges to the same bytes.
   std::vector<std::vector<double>> computed(miss_idx.size());
   RunKernel(KernelKind::kPairFeatures, env, miss_idx.size(),
             /*min_parallel=*/2, [&](size_t begin, size_t end) {

@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/kernel_scheduler.h"
+#include "common/kernel_env.h"
 #include "data/table.h"
 
 namespace visclean {
@@ -50,8 +50,8 @@ class PairFeatureCache {
   /// Feature vectors for `pairs`, in order. Returned pointers stay valid
   /// until the next Clear/Invalidate (unordered_map references are stable
   /// across inserts). Miss extraction routes through `env` as a
-  /// KernelKind::kPairFeatures kernel: cross-session batcher when one is
-  /// attached, else the pool, else inline — bit-identical in every case.
+  /// KernelKind::kPairFeatures kernel: the pool, or inline — bit-identical
+  /// either way.
   std::vector<const std::vector<double>*> Batch(
       const Table& table, const std::vector<std::pair<size_t, size_t>>& pairs,
       const KernelEnv& env);

@@ -158,8 +158,8 @@ std::vector<std::vector<Neighbor>> TokenKnnCache::BatchQuery(
   if (!misses.empty()) {
     full_queries_ += misses.size();
     std::vector<std::vector<Neighbor>> computed(misses.size());
-    // Pure chunk kernel with indexed writes: any partition (pool chunks or
-    // a cross-session batch) merges to the same lists.
+    // Pure chunk kernel with indexed writes: any partition into pool chunks
+    // merges to the same lists.
     RunKernel(KernelKind::kKnnQuery, env, misses.size(), /*min_parallel=*/2,
               [&](size_t begin, size_t end) {
                 for (size_t i = begin; i < end; ++i) {

@@ -9,7 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/kernel_scheduler.h"
+#include "common/kernel_env.h"
 
 namespace visclean {
 
@@ -67,8 +67,8 @@ class TokenKnnCache {
   /// <= k) for every query row, against the corpus given as ascending row
   /// ids plus their token sets. Every query row must itself be a corpus
   /// member (it is excluded from its own list). Cache misses route through
-  /// `env` as a KernelKind::kKnnQuery kernel (cross-session batcher, pool,
-  /// or inline); results are independent of the execution strategy.
+  /// `env` as a KernelKind::kKnnQuery kernel (pool or inline); results are
+  /// independent of the execution strategy.
   std::vector<std::vector<Neighbor>> BatchQuery(
       const std::vector<size_t>& query_rows, size_t k,
       const std::vector<size_t>& corpus_rows,

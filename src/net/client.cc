@@ -142,9 +142,6 @@ Client::~Client() { Disconnect(); }
 
 Status Client::Connect(uint16_t port) {
   VC_CHECK(fd_ < 0, "client already connected");
-  VC_CHECK(options_.wire_version >= kWireVersionMin &&
-               options_.wire_version <= kWireVersion,
-           "unsupported client wire version");
   Result<int> fd = ConnectLoopback(port, options_.connect_timeout_ms);
   if (!fd.ok()) return fd.status();
   fd_ = fd.value();
@@ -204,16 +201,14 @@ Result<WireResponse> Client::Call(WireRequest request) {
   request.request_id = next_request_id_++;
   const int64_t deadline = DeadlineFrom(options_.io_timeout_ms);
   if (fd_ < 0) return Status::Internal("client is not connected");
-  Status sent = SendAllTo(fd_, EncodeRequest(request, options_.wire_version),
-                          deadline);
+  Status sent = SendAllTo(fd_, EncodeRequest(request), deadline);
   if (!sent.ok()) {
     Disconnect();
     return sent;
   }
   Result<std::string> payload = ReadFrame(deadline);
   if (!payload.ok()) return payload.status();
-  Result<WireResponse> response =
-      DecodeResponsePayload(payload.value(), options_.wire_version);
+  Result<WireResponse> response = DecodeResponsePayload(payload.value());
   if (!response.ok()) {
     Disconnect();
     return response.status();

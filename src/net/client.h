@@ -40,10 +40,6 @@ struct ClientOptions {
   /// first byte sent. 0 disables (plain blocking IO, the pre-deadline
   /// behaviour tests rely on).
   size_t io_timeout_ms = 0;
-  /// Wire version to speak. The server answers at the version of the frames
-  /// it receives, so pinning 2 here exercises a v2 peer end-to-end
-  /// (negotiation tests); routers speak the current version.
-  uint8_t wire_version = kWireVersion;
 };
 
 /// \brief Binary-protocol client. Not thread-safe; use one per thread (the
@@ -80,12 +76,12 @@ class Client {
   Status CloseSession(const std::string& id);
   Result<ServeStats> Stats();
   /// Decoded metrics snapshot (a shard's registry; through a router, the
-  /// merged fleet view). Wire v3 only.
+  /// merged fleet view).
   Result<obs::MetricsSnapshot> Metrics();
-  /// Captured slow-request traces as a JSON document. Wire v3 only.
+  /// Captured slow-request traces as a JSON document.
   Result<std::string> Traces();
 
-  // Sharding surface (wire v3).
+  // Sharding surface.
   Result<std::string> ExportState(const std::string& id, bool remove);
   Result<SessionInfo> ImportState(const std::string& id,
                                   const std::string& state);

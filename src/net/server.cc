@@ -67,11 +67,6 @@ struct Connection {
   /// Written once by the IO thread before any request is dispatched; the
   /// dispatch queue's mutex publishes it to the workers.
   Mode mode = Mode::kUnknown;
-  /// Negotiated wire version: pinned to the first binary frame's version
-  /// and echoed in every response on this connection. Same publication
-  /// discipline as `mode`.
-  uint8_t version = kWireVersion;
-  bool version_pinned = false;  ///< IO thread only
 
   // Read side: IO thread only, no lock.
   std::string in;
@@ -162,7 +157,7 @@ struct VisCleanServer::Impl {
 
   std::string Serialize(const ConnPtr& conn, const WireResponse& response) {
     return conn->mode == Connection::Mode::kBinary
-               ? EncodeResponse(response, conn->version)
+               ? EncodeResponse(response)
                : PrintResponseLine(response) + "\n";
   }
 
@@ -284,32 +279,15 @@ struct VisCleanServer::Impl {
   void ParseBinary(const ConnPtr& conn) {
     for (;;) {
       std::string payload;
-      uint8_t frame_version = 0;
-      FrameStatus fs = NextFrame(conn->in, &payload, &frame_version);
+      FrameStatus fs = NextFrame(conn->in, &payload);
       if (fs == FrameStatus::kNeedMore) break;
       if (fs == FrameStatus::kBad) {
         // One error frame, then hang up: a corrupt length-prefixed stream
         // cannot be resynchronized.
         WireResponse err = ErrorResponse(
             0, Status::InvalidArgument("malformed VCWP frame"));
-        EnqueueReady(conn, EncodeResponse(err, conn->version));
+        EnqueueReady(conn, EncodeResponse(err));
         conn->peer_eof = true;  // stop reading
-        std::lock_guard<std::mutex> lock(conn->mu);
-        conn->closing = true;
-        break;
-      }
-      if (!conn->version_pinned) {
-        // Pin the connection to the version of its first frame; later
-        // frames may not change it (mixed-version pipelining would make
-        // response framing ambiguous).
-        conn->version = frame_version;
-        conn->version_pinned = true;
-      } else if (frame_version != conn->version) {
-        WireResponse err = ErrorResponse(
-            0, Status::InvalidArgument(
-                   "wire version changed mid-connection"));
-        EnqueueReady(conn, EncodeResponse(err, conn->version));
-        conn->peer_eof = true;
         std::lock_guard<std::mutex> lock(conn->mu);
         conn->closing = true;
         break;
@@ -319,15 +297,13 @@ struct VisCleanServer::Impl {
 #ifndef VISCLEAN_OBS_OFF
       decode_start_ns = obs::MonotonicNs();
 #endif
-      Result<WireRequest> request =
-          DecodeRequestPayload(payload, conn->version);
+      Result<WireRequest> request = DecodeRequestPayload(payload);
 #ifndef VISCLEAN_OBS_OFF
       decode_end_ns = obs::MonotonicNs();
       h_decode_ns->Record(decode_end_ns - decode_start_ns);
 #endif
       if (!request.ok()) {
-        EnqueueReady(conn, EncodeResponse(ErrorResponse(0, request.status()),
-                                          conn->version));
+        EnqueueReady(conn, EncodeResponse(ErrorResponse(0, request.status())));
       } else {
         EnqueueRequest(conn, std::move(request).value(), decode_start_ns,
                        decode_end_ns);

@@ -14,9 +14,9 @@
 // connection's mode, and append it to the connection's write buffer; the IO
 // thread flushes.
 //
-// Version negotiation. A binary connection is pinned to the wire version of
-// its first frame and answered at that version for its lifetime, so v2 and
-// v3 peers coexist on one port.
+// Wire version. There is no negotiation: the server speaks kWireVersion
+// only, and a frame at any other version takes the malformed-frame path
+// below (one error frame, then the connection closes).
 //
 // Ordering. Requests on one connection execute strictly in arrival order
 // (at most one in flight per connection, the rest queue on the connection),

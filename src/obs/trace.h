@@ -7,7 +7,7 @@
 // Propagation. The active trace travels in a thread_local TraceContext:
 // the server worker installs a RequestTrace around WireHandler::Handle,
 // every ScopedSpan below it on that thread parents itself automatically,
-// and shard::ForwardEnvelope stamps the context into the v3 kForwarded
+// and shard::ForwardEnvelope stamps the context into the kForwarded
 // envelope so the shard-side worker joins the *router's* trace. Because the
 // in-tree fleet runs shards and router in one process, one Tracer sees both
 // tiers and a single captured trace covers wire decode → route → shard

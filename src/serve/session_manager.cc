@@ -7,7 +7,6 @@
 
 #include "common/thread_pool.h"
 #include "obs/trace.h"
-#include "serve/kernel_batcher.h"
 #include "serve/snapshot.h"
 #include "vql/parser.h"
 
@@ -106,13 +105,6 @@ SessionManager::SessionManager(ServeOptions options)
   if (options_.pool_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.pool_threads);
   }
-  if (pool_ && options_.batch_kernels) {
-    KernelBatcher::Options batch;
-    batch.window_micros = options_.batch_window_micros;
-    batch.max_items = options_.batch_max_items;
-    batcher_ = std::make_unique<KernelBatcher>(pool_.get(), batch, &registry_);
-    batcher_->SetInflightCounter(&inflight_);
-  }
 }
 
 SessionManager::~SessionManager() = default;
@@ -144,7 +136,6 @@ Result<std::unique_ptr<VisCleanSession>> SessionManager::BuildSession(
   auto session = std::make_unique<VisCleanSession>(
       oracle, std::move(query).value(), options, user_options, cost_model);
   if (pool_) session->SetExternalPool(pool_.get());
-  if (batcher_) session->SetExternalScheduler(batcher_.get());
   session->SetExternalRegistry(&registry_);
   VC_RETURN_IF_ERROR(session->Initialize());
   return session;
@@ -597,11 +588,8 @@ std::vector<std::string> SessionManager::live_sessions() const {
 }
 
 Status SessionManager::Close(const std::string& id) {
-  InflightSlot slot(inflight_, options_.max_inflight_requests);
-  if (!slot.admitted()) {
-    c_rejected_inflight_->Add(1);
-    return Status::ResourceExhausted("in-flight request limit reached");
-  }
+  // No InflightSlot: teardown frees capacity, so gating it on the in-flight
+  // bound would keep sessions alive exactly when the manager is saturated.
   std::shared_ptr<Entry> entry;
   {
     std::lock_guard<std::mutex> map_lock(map_mu_);
@@ -642,20 +630,6 @@ ServeStats SessionManager::stats() const {
   s.sim_join_full = c_join_full_->Value();
   s.sim_join_fallbacks = c_join_fallback_->Value();
   s.sim_join_delta_syncs = c_join_delta_->Value();
-  if (batcher_) {
-    KernelBatchStats em = batcher_->stats(KernelKind::kEmInference);
-    s.em_infer_batches = em.batches;
-    s.em_infer_batch_items = em.items;
-    s.em_infer_batch_rows = em.rows;
-    KernelBatchStats pf = batcher_->stats(KernelKind::kPairFeatures);
-    s.pair_feature_batches = pf.batches;
-    s.pair_feature_batch_items = pf.items;
-    s.pair_feature_batch_rows = pf.rows;
-    KernelBatchStats knn = batcher_->stats(KernelKind::kKnnQuery);
-    s.knn_batches = knn.batches;
-    s.knn_batch_items = knn.items;
-    s.knn_batch_rows = knn.rows;
-  }
   return s;
 }
 

@@ -12,6 +12,8 @@
 // kResourceExhausted (retry-after-backoff) rather than queueing unboundedly:
 //   * max_sessions           — total live sessions (resident + evicted);
 //   * max_inflight_requests  — requests executing or waiting, manager-wide;
+//     Close is exempt: teardown frees capacity, so it must succeed under
+//     the very load that fills the bound;
 //   * max_queued_per_session — waiters on one session's lock.
 //
 // Eviction. At most max_resident_sessions keep their engine state in
@@ -48,7 +50,6 @@
 
 namespace visclean {
 
-class KernelBatcher;
 class ThreadPool;
 
 /// \brief Serving-layer configuration.
@@ -69,18 +70,9 @@ struct ServeOptions {
   /// Directory for eviction snapshots; "" disables eviction.
   std::string snapshot_dir;
   /// Worker threads of the shared pool lent to every session's benefit
-  /// stage (0 = no pool, sessions compute serially inside their request).
+  /// stage and chunk kernels (<=1 = no pool, sessions compute serially
+  /// inside their request).
   size_t pool_threads = 0;
-  /// Coalesce the batchable kernels (EM inference, pair features, kNN) of
-  /// concurrent sessions into shared pool dispatches (see
-  /// serve/kernel_batcher.h). Requires a pool; results are bit-identical to
-  /// unbatched execution.
-  bool batch_kernels = true;
-  /// How long a batch leader waits for co-batchers (skipped when at most
-  /// one request is in flight).
-  size_t batch_window_micros = 150;
-  /// Cap on work items per combined dispatch.
-  size_t batch_max_items = 16;
   /// Checkpoint every session to snapshot_dir after each successful Step and
   /// Answer (best-effort, same files eviction uses). This is the crash-
   /// recovery substrate for sharded serving: a router re-homes a dead
@@ -125,19 +117,20 @@ struct ServeStats {
   uint64_t sim_join_fallbacks = 0;
   uint64_t sim_join_delta_syncs = 0;
 
-  // Cross-session kernel batching occupancy (zero when batching is off; see
-  // serve/kernel_batcher.h). batches counts combined pool dispatches, items
-  // the per-session work units coalesced into them, rows the total index
-  // space — items/batches is the mean batch occupancy.
+  // Retired kernel-batching occupancy: nothing increments these and they
+  // are not on the wire. Each always reads 0 and stays only for its reader.
+  /// Read (as 0) by perfbench/ledger/main.cc's serve.*_occupancy.
   uint64_t em_infer_batches = 0;
+  /// Read (as 0) by perfbench/ledger/main.cc's serve.*_occupancy.
   uint64_t em_infer_batch_items = 0;
-  uint64_t em_infer_batch_rows = 0;
+  /// Read (as 0) by perfbench/ledger/main.cc's serve.*_occupancy.
   uint64_t pair_feature_batches = 0;
+  /// Read (as 0) by perfbench/ledger/main.cc's serve.*_occupancy.
   uint64_t pair_feature_batch_items = 0;
-  uint64_t pair_feature_batch_rows = 0;
+  /// Read (as 0) by perfbench/ledger/main.cc's serve.*_occupancy.
   uint64_t knn_batches = 0;
+  /// Read (as 0) by perfbench/ledger/main.cc's serve.*_occupancy.
   uint64_t knn_batch_items = 0;
-  uint64_t knn_batch_rows = 0;
 };
 
 /// \brief Hosts many concurrent VisCleanSessions keyed by session id.
@@ -190,6 +183,8 @@ class SessionManager {
   Result<SessionInfo> Restore(const std::string& id, const std::string& path);
 
   /// Destroys the session (resident or evicted) and its eviction file.
+  /// Not admission-gated: it frees capacity, so it never rejects with
+  /// kResourceExhausted.
   Status Close(const std::string& id);
 
   /// Serializes the session's durable state to bytes (the VCSN snapshot
@@ -219,8 +214,8 @@ class SessionManager {
 
   /// This manager's telemetry registry: every ServeStats counter, the
   /// request-latency histograms (serve.step_ns, serve.answer_ns,
-  /// serve.queue_wait_ns), per-stage timings and kernel-batcher occupancy
-  /// of the hosted sessions. Per-manager (not process-global) so in-process
+  /// serve.queue_wait_ns), per-stage timings and kernel call counts of the
+  /// hosted sessions. Per-manager (not process-global) so in-process
   /// multi-shard fleets keep separable stats.
   obs::Registry& registry() const { return registry_; }
 
@@ -247,15 +242,11 @@ class SessionManager {
 
   ServeOptions options_;
   /// Telemetry registry backing every counter below plus the latency
-  /// histograms; declared first so it outlives the batcher and the hosted
-  /// sessions that hold resolved handles into it. Mutable: handing it to a
+  /// histograms; declared first so it outlives the hosted sessions that
+  /// hold resolved handles into it. Mutable: handing it to a
   /// session in const BuildSession does not change manager state.
   mutable obs::Registry registry_;
   std::unique_ptr<ThreadPool> pool_;  ///< shared across sessions; may be null
-  /// Cross-session kernel batcher lent to every hosted session; null when
-  /// batching is disabled or there is no pool. Declared after pool_ (it
-  /// borrows it) and destroyed first.
-  std::unique_ptr<KernelBatcher> batcher_;
 
   mutable std::mutex map_mu_;
   std::map<std::string, std::shared_ptr<Entry>> sessions_;

@@ -17,36 +17,9 @@ using codec::PutEnum;
 using codec::Reader;
 using codec::Writer;
 
-// kOk never travels in a kError response; everything else is legal. v2
-// predates the sharding status codes, so a v2 connection keeps the old
-// ceiling on both sides of the codec.
+// kOk never travels in a kError response; everything else is legal.
 constexpr uint8_t kMaxStatusCode =
     static_cast<uint8_t>(StatusCode::kDeadlineExceeded);
-constexpr uint8_t kMaxStatusCodeV2 =
-    static_cast<uint8_t>(StatusCode::kResourceExhausted);
-
-uint8_t MaxStatusCodeFor(uint8_t version) {
-  return version >= 3 ? kMaxStatusCode : kMaxStatusCodeV2;
-}
-
-// A v3-only status code leaving on a v2 connection is flattened to
-// kInternal rather than sent as a byte the peer's decoder will reject.
-StatusCode ClampStatusCode(StatusCode code, uint8_t version) {
-  if (static_cast<uint8_t>(code) > MaxStatusCodeFor(version)) {
-    return StatusCode::kInternal;
-  }
-  return code;
-}
-
-bool RequestTypeInVersion(WireRequestType type, uint8_t version) {
-  return version >= 3 ||
-         static_cast<uint8_t>(type) <= kMaxWireRequestTypeV2;
-}
-
-bool ResponseTypeInVersion(WireResponseType type, uint8_t version) {
-  return version >= 3 ||
-         static_cast<uint8_t>(type) <= kMaxWireResponseTypeV2;
-}
 
 void PutSessionInfo(Writer& w, const SessionInfo& info) {
   w.Str(info.id);
@@ -141,15 +114,6 @@ void PutStats(Writer& w, const ServeStats& s) {
   w.U64(s.sim_join_full);
   w.U64(s.sim_join_fallbacks);
   w.U64(s.sim_join_delta_syncs);
-  w.U64(s.em_infer_batches);
-  w.U64(s.em_infer_batch_items);
-  w.U64(s.em_infer_batch_rows);
-  w.U64(s.pair_feature_batches);
-  w.U64(s.pair_feature_batch_items);
-  w.U64(s.pair_feature_batch_rows);
-  w.U64(s.knn_batches);
-  w.U64(s.knn_batch_items);
-  w.U64(s.knn_batch_rows);
 }
 
 ServeStats GetStats(Reader& r) {
@@ -170,15 +134,6 @@ ServeStats GetStats(Reader& r) {
   s.sim_join_full = r.U64();
   s.sim_join_fallbacks = r.U64();
   s.sim_join_delta_syncs = r.U64();
-  s.em_infer_batches = r.U64();
-  s.em_infer_batch_items = r.U64();
-  s.em_infer_batch_rows = r.U64();
-  s.pair_feature_batches = r.U64();
-  s.pair_feature_batch_items = r.U64();
-  s.pair_feature_batch_rows = r.U64();
-  s.knn_batches = r.U64();
-  s.knn_batch_items = r.U64();
-  s.knn_batch_rows = r.U64();
   return s;
 }
 
@@ -226,24 +181,21 @@ WireTraceSummary SummarizeTrace(const IterationTrace& trace) {
 
 }  // namespace
 
-std::string EncodeFrame(const std::string& payload, uint8_t version) {
+std::string EncodeFrame(const std::string& payload) {
   VC_CHECK(payload.size() <= kMaxWirePayload, "wire payload exceeds bound");
-  VC_CHECK(version >= kWireVersionMin && version <= kWireVersion,
-           "unsupported wire version");
   Writer w;
   w.U8(static_cast<uint8_t>(kWireMagic[0]));
   w.U8(static_cast<uint8_t>(kWireMagic[1]));
   w.U8(static_cast<uint8_t>(kWireMagic[2]));
   w.U8(static_cast<uint8_t>(kWireMagic[3]));
-  w.U8(version);
+  w.U8(kWireVersion);
   w.U32(static_cast<uint32_t>(payload.size()));
   std::string out = w.Take();
   out.append(payload);
   return out;
 }
 
-FrameStatus NextFrame(std::string& buffer, std::string* payload,
-                      uint8_t* version) {
+FrameStatus NextFrame(std::string& buffer, std::string* payload) {
   if (buffer.size() < kWireHeaderSize) {
     // Reject a wrong magic as soon as the bytes we do have disagree, so a
     // text-mode or garbage peer is turned away before it can stall waiting
@@ -257,8 +209,7 @@ FrameStatus NextFrame(std::string& buffer, std::string* payload,
   if (std::memcmp(buffer.data(), kWireMagic, 4) != 0) {
     return FrameStatus::kBad;
   }
-  const uint8_t frame_version = static_cast<uint8_t>(buffer[4]);
-  if (frame_version < kWireVersionMin || frame_version > kWireVersion) {
+  if (static_cast<uint8_t>(buffer[4]) != kWireVersion) {
     return FrameStatus::kBad;
   }
   uint32_t length = 0;
@@ -270,7 +221,6 @@ FrameStatus NextFrame(std::string& buffer, std::string* payload,
   if (buffer.size() < kWireHeaderSize + length) return FrameStatus::kNeedMore;
   payload->assign(buffer, kWireHeaderSize, length);
   buffer.erase(0, kWireHeaderSize + length);
-  if (version != nullptr) *version = frame_version;
   return FrameStatus::kFrame;
 }
 
@@ -338,21 +288,17 @@ std::string EncodeRequestPayload(const WireRequest& request) {
   return w.Take();
 }
 
-std::string EncodeRequest(const WireRequest& request, uint8_t version) {
-  VC_CHECK(RequestTypeInVersion(request.type, version),
-           "request type does not exist at this wire version");
-  return EncodeFrame(EncodeRequestPayload(request), version);
+std::string EncodeRequest(const WireRequest& request) {
+  return EncodeFrame(EncodeRequestPayload(request));
 }
 
-std::string EncodeResponse(const WireResponse& response, uint8_t version) {
-  VC_CHECK(ResponseTypeInVersion(response.type, version),
-           "response type does not exist at this wire version");
+std::string EncodeResponse(const WireResponse& response) {
   Writer w;
   PutEnum(w, response.type);
   w.U64(response.request_id);
   switch (response.type) {
     case WireResponseType::kError:
-      PutEnum(w, ClampStatusCode(response.code, version));
+      PutEnum(w, response.code);
       w.Str(response.message);
       break;
     case WireResponseType::kSessionInfo:
@@ -380,17 +326,14 @@ std::string EncodeResponse(const WireResponse& response, uint8_t version) {
       w.Str(response.metrics);
       break;
   }
-  return EncodeFrame(w.Take(), version);
+  return EncodeFrame(w.Take());
 }
 
-Result<WireRequest> DecodeRequestPayload(const std::string& payload,
-                                         uint8_t version) {
+Result<WireRequest> DecodeRequestPayload(const std::string& payload) {
   Reader r(payload);
   bool bad = false;
   WireRequest req;
-  const uint8_t max_type =
-      version >= 3 ? kMaxWireRequestType : kMaxWireRequestTypeV2;
-  req.type = GetEnum<WireRequestType>(r, max_type, &bad);
+  req.type = GetEnum<WireRequestType>(r, kMaxWireRequestType, &bad);
   if (bad || r.failed()) {
     return Status::InvalidArgument("unknown wire request type");
   }
@@ -460,21 +403,18 @@ Result<WireRequest> DecodeRequestPayload(const std::string& payload,
   return req;
 }
 
-Result<WireResponse> DecodeResponsePayload(const std::string& payload,
-                                           uint8_t version) {
+Result<WireResponse> DecodeResponsePayload(const std::string& payload) {
   Reader r(payload);
   bool bad = false;
   WireResponse resp;
-  const uint8_t max_type =
-      version >= 3 ? kMaxWireResponseType : kMaxWireResponseTypeV2;
-  resp.type = GetEnum<WireResponseType>(r, max_type, &bad);
+  resp.type = GetEnum<WireResponseType>(r, kMaxWireResponseType, &bad);
   if (bad || r.failed()) {
     return Status::InvalidArgument("unknown wire response type");
   }
   resp.request_id = r.U64();
   switch (resp.type) {
     case WireResponseType::kError: {
-      resp.code = GetEnum<StatusCode>(r, MaxStatusCodeFor(version), &bad);
+      resp.code = GetEnum<StatusCode>(r, kMaxStatusCode, &bad);
       if (resp.code == StatusCode::kOk) bad = true;
       resp.message = r.Str();
       break;

@@ -5,11 +5,8 @@
 // Frame layout (all integers little-endian):
 //
 //   magic   "VCWP"          4 bytes
-//   version u8              2 or 3 (v2 added the kernel-batching occupancy
-//                           counters to the Stats response; v3 added the
-//                           sharding surface: state export/import, forwarded
-//                           requests with shard-id/epoch fields, and the
-//                           JoinShard/Drain/Migrate/Topology admin frames)
+//   version u8              kWireVersion (4); any other value is a
+//                           malformed header
 //   length  u32             payload byte count, <= kMaxWirePayload
 //   payload length bytes    one request or response message
 //
@@ -18,12 +15,11 @@
 // answers. request_id is client-chosen and opaque to the server — clients
 // use it to match pipelined responses to requests.
 //
-// Version negotiation is per connection and implicit: a peer writes frames
-// at the highest version it speaks, the server pins the connection to the
-// version of the first frame it receives and answers at that same version.
-// A v2 peer therefore keeps working against a v3 server (v3-only request
-// types are rejected as invalid on a v2 connection rather than half
-// understood), and a v3 router never has to guess what a shard speaks.
+// There is exactly one wire version and no negotiation: every frame in
+// either direction carries kWireVersion, and a frame at any other version
+// is rejected at the header like a bad magic. The version is bumped
+// whenever a payload layout changes, so peers built from different layouts
+// fail loudly at the first frame instead of misreading each other.
 //
 // Everything behind the length prefix decodes through the hardened
 // serve/codec.h Reader (overflow-safe bounds, latched failure, bounded
@@ -52,19 +48,16 @@ namespace visclean {
 /// Frame header magic. A connection whose first four bytes are not this
 /// magic is served in line-oriented text mode instead (src/net/command.h).
 inline constexpr char kWireMagic[4] = {'V', 'C', 'W', 'P'};
-inline constexpr uint8_t kWireVersion = 3;
-/// Oldest version this build still speaks. Frames at any version in
-/// [kWireVersionMin, kWireVersion] are accepted; the connection is served at
-/// the version the peer sent.
-inline constexpr uint8_t kWireVersionMin = 2;
+/// The one version this build speaks; bumped whenever a payload layout
+/// changes.
+inline constexpr uint8_t kWireVersion = 4;
 /// Hard payload bound: no legitimate message approaches this, and the bound
 /// keeps a corrupt or hostile length prefix from driving a huge allocation.
 inline constexpr uint32_t kMaxWirePayload = 16u * 1024u * 1024u;
 /// Bytes before the payload: magic + version + length.
 inline constexpr size_t kWireHeaderSize = 4 + 1 + 4;
 
-/// \brief Request message types (u8 on the wire). Types 8+ are v3-only and
-/// rejected when decoded from a v2 frame.
+/// \brief Request message types (u8 on the wire).
 enum class WireRequestType : uint8_t {
   kCreate = 0,
   kStep = 1,
@@ -74,7 +67,7 @@ enum class WireRequestType : uint8_t {
   kRestore = 5,
   kClose = 6,
   kStats = 7,
-  // --- v3 (sharding) ---
+  // --- sharding ---
   kExportState = 8,     ///< serialize a live session to VCSN bytes
   kImportState = 9,     ///< admit a session from VCSN bytes
   kForwarded = 10,      ///< router→shard envelope around an inner request
@@ -88,10 +81,8 @@ enum class WireRequestType : uint8_t {
 };
 inline constexpr uint8_t kMaxWireRequestType =
     static_cast<uint8_t>(WireRequestType::kTraces);
-inline constexpr uint8_t kMaxWireRequestTypeV2 =
-    static_cast<uint8_t>(WireRequestType::kStats);
 
-/// \brief Response message types (u8 on the wire). Types 6+ are v3-only.
+/// \brief Response message types (u8 on the wire).
 enum class WireResponseType : uint8_t {
   kError = 0,        ///< status code + message
   kSessionInfo = 1,  ///< Create / GetStatus / Restore / ImportState
@@ -100,7 +91,7 @@ enum class WireResponseType : uint8_t {
   kAck = 4,          ///< Snapshot / Close / JoinShard / Drain / Migrate /
                      ///< SetRole
   kStats = 5,        ///< Stats
-  // --- v3 (sharding) ---
+  // --- sharding ---
   kState = 6,        ///< ExportState: VCSN snapshot bytes
   kTopology = 7,     ///< Topology: ring membership + placement
   kMetrics = 8,      ///< Metrics: binary obs::MetricsSnapshot bytes
@@ -108,8 +99,6 @@ enum class WireResponseType : uint8_t {
 };
 inline constexpr uint8_t kMaxWireResponseType =
     static_cast<uint8_t>(WireResponseType::kTraces);
-inline constexpr uint8_t kMaxWireResponseTypeV2 =
-    static_cast<uint8_t>(WireResponseType::kStats);
 
 /// \brief One decoded request. Only the fields of the request's type are
 /// meaningful; the rest stay default-initialized (and are not encoded).
@@ -127,7 +116,7 @@ struct WireRequest {
   // kSnapshot / kRestore only:
   std::string path;
 
-  // --- v3 (sharding) fields ---
+  // --- sharding fields ---
   std::string state;     ///< kImportState: VCSN snapshot bytes
   bool remove = false;   ///< kExportState: destroy the local copy afterwards
   uint32_t shard_id = 0; ///< kForwarded/kJoinShard/kDrainShard/kSetRole;
@@ -193,33 +182,26 @@ struct WireResponse {
   WireTraceSummary trace;
   // kStats:
   ServeStats stats;
-  // kState (v3):
+  // kState:
   std::string state;
-  // kTopology (v3):
+  // kTopology:
   WireTopology topology;
   // kMetrics (binary obs snapshot; see obs::DecodeMetricsSnapshot) and
   // kTraces (JSON text):
   std::string metrics;
 };
 
-/// Wraps a payload in a VCWP frame (header + bytes) at `version`. Payloads
-/// larger than kMaxWirePayload are a programmer error and abort, as is a
-/// version outside [kWireVersionMin, kWireVersion].
-std::string EncodeFrame(const std::string& payload,
-                        uint8_t version = kWireVersion);
+/// Wraps a payload in a VCWP frame (header + bytes). Payloads larger than
+/// kMaxWirePayload are a programmer error and abort.
+std::string EncodeFrame(const std::string& payload);
 
 /// Encodes a request payload without the frame header — the bytes a
 /// kForwarded envelope carries in `inner`.
 std::string EncodeRequestPayload(const WireRequest& request);
 
-/// Encodes request/response payload + frame in one step. Encoding a message
-/// whose type does not exist at `version` is a programmer error and aborts;
-/// the serving code paths pin a connection's version from its first frame,
-/// so a v2 peer can never elicit a v3-only response.
-std::string EncodeRequest(const WireRequest& request,
-                          uint8_t version = kWireVersion);
-std::string EncodeResponse(const WireResponse& response,
-                           uint8_t version = kWireVersion);
+/// Encodes request/response payload + frame in one step.
+std::string EncodeRequest(const WireRequest& request);
+std::string EncodeResponse(const WireResponse& response);
 
 /// \brief Outcome of scanning a connection buffer for the next frame.
 enum class FrameStatus {
@@ -231,20 +213,15 @@ enum class FrameStatus {
 };
 
 /// Extracts the next complete frame from the front of `buffer`, consuming
-/// its bytes on success. `payload` is only written for kFrame; when
-/// `version` is non-null it receives the frame's version byte (how servers
-/// pin a connection's negotiated version). The buffer may hold any number of
-/// partial or complete frames (pipelining).
-FrameStatus NextFrame(std::string& buffer, std::string* payload,
-                      uint8_t* version = nullptr);
+/// its bytes on success. `payload` is only written for kFrame. A header
+/// whose version is not kWireVersion is kBad. The buffer may hold any
+/// number of partial or complete frames (pipelining).
+FrameStatus NextFrame(std::string& buffer, std::string* payload);
 
 /// Decodes a frame payload (not the frame header) into a request/response.
-/// Rejects truncation, trailing bytes, out-of-range enums, and — when
-/// `version` is 2 — any v3-only message type.
-Result<WireRequest> DecodeRequestPayload(const std::string& payload,
-                                         uint8_t version = kWireVersion);
-Result<WireResponse> DecodeResponsePayload(const std::string& payload,
-                                           uint8_t version = kWireVersion);
+/// Rejects truncation, trailing bytes and out-of-range enums.
+Result<WireRequest> DecodeRequestPayload(const std::string& payload);
+Result<WireResponse> DecodeResponsePayload(const std::string& payload);
 
 /// \brief Executes one decoded request against a SessionManager and returns
 /// the response — the single dispatch point shared by the binary and text

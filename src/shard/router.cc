@@ -39,15 +39,6 @@ void AddStats(ServeStats& into, const ServeStats& from) {
   into.sim_join_full += from.sim_join_full;
   into.sim_join_fallbacks += from.sim_join_fallbacks;
   into.sim_join_delta_syncs += from.sim_join_delta_syncs;
-  into.em_infer_batches += from.em_infer_batches;
-  into.em_infer_batch_items += from.em_infer_batch_items;
-  into.em_infer_batch_rows += from.em_infer_batch_rows;
-  into.pair_feature_batches += from.pair_feature_batches;
-  into.pair_feature_batch_items += from.pair_feature_batch_items;
-  into.pair_feature_batch_rows += from.pair_feature_batch_rows;
-  into.knn_batches += from.knn_batches;
-  into.knn_batch_items += from.knn_batch_items;
-  into.knn_batch_rows += from.knn_batch_rows;
 }
 
 WireResponse AckResponse(uint64_t request_id) {
@@ -557,31 +548,22 @@ size_t ShardRouter::Rebalance() {
   // Activity is polled through the shard's metrics snapshot — the same
   // serve.steps / serve.answers counters a kMetrics scrape exports — so the
   // rebalance decision and the exported metrics read one source of truth
-  // and cannot drift. kStats remains as a fallback for a mixed fleet whose
-  // shard predates the kMetrics frame (a v2 peer).
+  // and cannot drift.
   WireRequest metrics_req;
   metrics_req.type = WireRequestType::kMetrics;
-  WireRequest stats_req;
-  stats_req.type = WireRequestType::kStats;
   for (Load& load : loads) {
-    uint64_t activity = 0;
     Result<WireResponse> metrics =
         ForwardCall(pool_, load.shard_id, load.port, epoch, metrics_req);
-    if (metrics.ok()) {
-      Result<obs::MetricsSnapshot> snapshot =
-          obs::DecodeMetricsSnapshot(metrics.value().metrics);
-      if (!snapshot.ok()) return 0;  // corrupt answer: treat as unstable
-      const auto& counters = snapshot.value().counters;
-      auto steps = counters.find("serve.steps");
-      auto answers = counters.find("serve.answers");
-      if (steps != counters.end()) activity += steps->second;
-      if (answers != counters.end()) activity += answers->second;
-    } else {
-      Result<WireResponse> stats =
-          ForwardCall(pool_, load.shard_id, load.port, epoch, stats_req);
-      if (!stats.ok()) return 0;  // unstable fleet: let recovery settle first
-      activity = stats.value().stats.steps + stats.value().stats.answers;
-    }
+    if (!metrics.ok()) return 0;  // unstable fleet: let recovery settle first
+    Result<obs::MetricsSnapshot> snapshot =
+        obs::DecodeMetricsSnapshot(metrics.value().metrics);
+    if (!snapshot.ok()) return 0;  // corrupt answer: treat as unstable
+    const auto& counters = snapshot.value().counters;
+    uint64_t activity = 0;
+    auto steps = counters.find("serve.steps");
+    auto answers = counters.find("serve.answers");
+    if (steps != counters.end()) activity += steps->second;
+    if (answers != counters.end()) activity += answers->second;
     std::lock_guard<std::mutex> lock(topo_mu_);
     auto it = shards_.find(load.shard_id);
     if (it == shards_.end()) return 0;

@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "data/column_stats.h"
 #include "datagen/books.h"
@@ -106,13 +108,19 @@ TEST(PublicationsTest, EntityMappingConsistent) {
 }
 
 // Shared property checks across all three generators.
-using GeneratorFn = std::function<DirtyDataset()>;
+// A case prints as its name, so the discovered test names stay the same
+// from run to run (the default tuple printer shows load addresses).
+struct GeneratorCase {
+  const char* name;
+  std::function<DirtyDataset()> generate;
+};
+void PrintTo(const GeneratorCase& c, std::ostream* os) { *os << c.name; }
 
 class GeneratorPropertyTest
-    : public ::testing::TestWithParam<std::tuple<const char*, GeneratorFn>> {};
+    : public ::testing::TestWithParam<GeneratorCase> {};
 
 TEST_P(GeneratorPropertyTest, OracleInvariantsHold) {
-  DirtyDataset data = std::get<1>(GetParam())();
+  DirtyDataset data = GetParam().generate();
   EXPECT_GT(data.dirty.num_rows(), data.clean.num_rows());
   ASSERT_EQ(data.entity_of.size(), data.dirty.num_rows());
 
@@ -144,23 +152,25 @@ TEST_P(GeneratorPropertyTest, OracleInvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(
     AllGenerators, GeneratorPropertyTest,
     ::testing::Values(
-        std::make_tuple("publications",
-                        GeneratorFn([] {
-                          PublicationsOptions o;
-                          o.num_entities = 250;
-                          return GeneratePublications(o);
-                        })),
-        std::make_tuple("nba", GeneratorFn([] {
-                          NbaOptions o;
-                          o.num_entities = 250;
-                          return GenerateNba(o);
-                        })),
-        std::make_tuple("books", GeneratorFn([] {
-                          BooksOptions o;
-                          o.num_entities = 250;
-                          return GenerateBooks(o);
-                        }))),
-    [](const auto& info) { return std::get<0>(info.param); });
+        GeneratorCase{"publications",
+                      [] {
+                        PublicationsOptions o;
+                        o.num_entities = 250;
+                        return GeneratePublications(o);
+                      }},
+        GeneratorCase{"nba",
+                      [] {
+                        NbaOptions o;
+                        o.num_entities = 250;
+                        return GenerateNba(o);
+                      }},
+        GeneratorCase{"books",
+                      [] {
+                        BooksOptions o;
+                        o.num_entities = 250;
+                        return GenerateBooks(o);
+                      }}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(NbaTest, SeventeenAttributes) {
   NbaOptions options;

@@ -12,8 +12,8 @@
 //    across epochs does not grow the reservation, and every access goes
 //    through current-epoch spans only — under the ASan CI leg a stale or
 //    mis-unpoisoned pointer faults here.
-//  * KernelBatcher: concurrent Run() calls of mixed kinds must each cover
-//    [0, total) exactly once, and the occupancy counters must add up.
+//  * RunKernel: the pool and inline strategies each cover [0, total)
+//    exactly once, and the per-site counters count every row once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,10 +21,10 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/arena.h"
+#include "common/kernel_env.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/session.h"
@@ -32,7 +32,6 @@
 #include "ml/decision_tree.h"
 #include "ml/flat_forest.h"
 #include "ml/random_forest.h"
-#include "serve/kernel_batcher.h"
 #include "serve/snapshot.h"
 #include "vql/parser.h"
 
@@ -289,72 +288,55 @@ TEST(ArenaTest, AlignmentAndOversizedRequests) {
   EXPECT_NE(arena.Allocate(0, 1), nullptr);
 }
 
-// --------------------------------------------------------- KernelBatcher --
+// ------------------------------------------------------------- RunKernel --
 
-TEST(KernelBatcherTest, ConcurrentRunsCoverEveryIndexExactlyOnce) {
+// Both execution strategies of the kernel seam — pool fan-out at or above
+// min_parallel, inline below it — cover [0, total) exactly once, and the
+// per-site counters add each call's rows exactly once.
+TEST(RunKernelTest, PoolAndInlineCoverEveryIndexOnceAndCountOnce) {
   ThreadPool pool(4);
-  KernelBatcherOptions options;
-  options.window_micros = 200;
-  options.max_items = 8;
-  KernelBatcher batcher(&pool, options);
-
-  constexpr size_t kThreads = 8;
-  constexpr size_t kRunsPerThread = 16;
-  std::vector<std::vector<std::atomic<uint32_t>>> hits(kThreads *
-                                                       kRunsPerThread);
-  std::atomic<size_t> total_rows{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(1000 + t);
-      for (size_t r = 0; r < kRunsPerThread; ++r) {
-        const size_t total = static_cast<size_t>(rng.UniformInt(1, 500));
-        const KernelKind kind =
-            static_cast<KernelKind>(rng.UniformInt(0, 2));
-        std::vector<std::atomic<uint32_t>>& mine =
-            hits[t * kRunsPerThread + r];
-        mine = std::vector<std::atomic<uint32_t>>(total);
-        total_rows.fetch_add(total);
-        batcher.Run(kind, total, [&mine](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) mine[i].fetch_add(1);
-        });
-        // Run() returning means the whole range finished: verify coverage
-        // immediately, racing against other sessions' in-flight batches.
-        for (size_t i = 0; i < total; ++i) ASSERT_EQ(mine[i].load(), 1u);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  uint64_t items = 0, batches = 0, rows = 0;
+  obs::Registry registry;
+  KernelSiteMetrics sites[kNumKernelKinds];
   for (size_t k = 0; k < kNumKernelKinds; ++k) {
-    const KernelBatchStats s = batcher.stats(static_cast<KernelKind>(k));
-    items += s.items;
-    batches += s.batches;
-    rows += s.rows;
+    const std::string base =
+        std::string("kernel.") + KernelKindName(static_cast<KernelKind>(k));
+    sites[k].calls = registry.GetCounter(base + ".calls");
+    sites[k].rows = registry.GetCounter(base + ".rows");
   }
-  EXPECT_EQ(items, kThreads * kRunsPerThread);
-  EXPECT_EQ(rows, total_rows.load());
-  EXPECT_GE(batches, 1u);
-  EXPECT_LE(batches, items);
-}
+  const KernelEnv env{&pool, nullptr, sites};
 
-TEST(KernelBatcherTest, ZeroTotalAndNullPoolAreHandled) {
-  KernelBatcher inline_batcher(nullptr);
   bool ran = false;
-  inline_batcher.Run(KernelKind::kEmInference, 0,
-                     [&](size_t, size_t) { ran = true; });
+  RunKernel(KernelKind::kEmInference, env, 0, 2,
+            [&](size_t, size_t) { ran = true; });
   EXPECT_FALSE(ran);
-  EXPECT_EQ(inline_batcher.stats(KernelKind::kEmInference).items, 0u);
 
+  uint64_t expected_rows = 0;
+  for (size_t total : {1u, 7u, 64u, 1000u}) {
+    for (size_t min_parallel : {size_t{2}, size_t{100000}}) {
+      std::vector<std::atomic<uint32_t>> hits(total);
+      RunKernel(KernelKind::kKnnQuery, env, total, min_parallel,
+                [&](size_t begin, size_t end) {
+                  for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+                });
+      expected_rows += total;
+      for (size_t i = 0; i < total; ++i) {
+        ASSERT_EQ(hits[i].load(), 1u) << total << "/" << min_parallel;
+      }
+    }
+  }
+#ifndef VISCLEAN_OBS_OFF
+  EXPECT_EQ(registry.GetCounter("kernel.knn.calls")->Value(), 8u);
+  EXPECT_EQ(registry.GetCounter("kernel.knn.rows")->Value(), expected_rows);
+  EXPECT_EQ(registry.GetCounter("kernel.em_infer.calls")->Value(), 0u);
+#endif
+
+  // A null pool always runs inline, whatever the gate says.
   std::vector<int> out(10, 0);
-  inline_batcher.Run(KernelKind::kKnnQuery, out.size(),
-                     [&](size_t begin, size_t end) {
-                       for (size_t i = begin; i < end; ++i) out[i] = 1;
-                     });
+  RunKernel(KernelKind::kPairFeatures, KernelEnv{}, out.size(), 2,
+            [&](size_t begin, size_t end) {
+              for (size_t i = begin; i < end; ++i) out[i] += 1;
+            });
   for (int v : out) EXPECT_EQ(v, 1);
-  EXPECT_EQ(inline_batcher.stats(KernelKind::kKnnQuery).items, 1u);
-  EXPECT_EQ(inline_batcher.stats(KernelKind::kKnnQuery).rows, 10u);
 }
 
 }  // namespace

@@ -5,9 +5,13 @@
 // suite (serve_snapshot_differential_test).
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <system_error>
@@ -323,6 +327,46 @@ TEST(SessionManagerTest, InflightLimitRejectsEveryRequest) {
   EXPECT_EQ(manager.GetStatus("s").status().code(),
             StatusCode::kResourceExhausted);
   EXPECT_GE(manager.stats().rejected_inflight, 3u);
+}
+
+// Close is not admission-gated: with max_inflight_requests saturated by a
+// request parked mid-flight, closing another session still succeeds, and
+// the session is gone afterwards. The parked request is a Restore reading
+// from a FIFO, which blocks in open() until this test writes to it.
+TEST(SessionManagerTest, CloseSucceedsWhileInflightIsSaturated) {
+  DirtyDataset data = SmallPublications();
+  ServeOptions serve;
+  serve.max_inflight_requests = 1;
+  SessionManager manager(serve);
+  ASSERT_TRUE(manager.RegisterDataset(&data).ok());
+  ASSERT_TRUE(manager.Create("a", data.name, kPubQuery, FastOptions()).ok());
+
+  const std::string fifo = TempDir("close_saturated") + "/parked.snap";
+  ASSERT_EQ(mkfifo(fifo.c_str(), 0600), 0);
+  std::thread parked([&] {
+    // Retry until this Restore holds the only in-flight slot (the probe
+    // below may hold it for an instant); it then blocks on the FIFO.
+    Result<SessionInfo> restored = manager.Restore("r", fifo);
+    while (restored.status().code() == StatusCode::kResourceExhausted) {
+      restored = manager.Restore("r", fifo);
+    }
+    EXPECT_FALSE(restored.ok());  // the FIFO carries no snapshot
+  });
+  // Saturated once a gated probe is turned away.
+  while (manager.GetStatus("a").status().code() !=
+         StatusCode::kResourceExhausted) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const Status closed = manager.Close("a");
+
+  {
+    std::ofstream release(fifo, std::ios::binary);  // unparks the Restore
+    release << "not a snapshot";
+  }
+  parked.join();
+  EXPECT_TRUE(closed.ok()) << closed.ToString();
+  EXPECT_EQ(manager.GetStatus("a").status().code(), StatusCode::kNotFound);
 }
 
 TEST(SessionManagerTest, EvictionAndRestoreOnTouch) {

@@ -364,7 +364,7 @@ TEST(ShardStressTest, DrainShardUnderTraffic) {
 }
 
 // Rebalancing moves sessions from the shard doing all the recent work to
-// the idle one, keyed off the ServeStats occupancy counters.
+// the idle one, keyed off the shards' serve.steps + serve.answers counters.
 TEST(ShardStressTest, RebalanceMovesHotSessions) {
   DirtyDataset data = SmallData();
   StressFleet fleet = MakeStressFleet(data, 2, "rebalance");

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -87,13 +87,19 @@ TEST(SimilarityTest, OverlapCoefficient) {
 
 // Property sweep: every measure stays in [0,1], is symmetric, and scores
 // identical strings as 1.
-using SimilarityFn = double (*)(std::string_view, std::string_view);
+// A case prints as its name, so the discovered test names stay the same
+// from run to run (the default tuple printer shows load addresses).
+struct SimilarityCase {
+  const char* name;
+  double (*fn)(std::string_view, std::string_view);
+};
+void PrintTo(const SimilarityCase& c, std::ostream* os) { *os << c.name; }
 
 class SimilarityPropertyTest
-    : public ::testing::TestWithParam<std::tuple<const char*, SimilarityFn>> {};
+    : public ::testing::TestWithParam<SimilarityCase> {};
 
 TEST_P(SimilarityPropertyTest, RangeSymmetryIdentity) {
-  SimilarityFn fn = std::get<1>(GetParam());
+  auto fn = GetParam().fn;
   const std::vector<std::string> corpus = {
       "",          "SIGMOD",        "ACM SIGMOD",  "SIGMOD Conf.",
       "SIGMOD'13", "VLDB",          "Very Large Data Bases",
@@ -117,14 +123,14 @@ double QGramJaccard3(std::string_view a, std::string_view b) {
 INSTANTIATE_TEST_SUITE_P(
     AllMeasures, SimilarityPropertyTest,
     ::testing::Values(
-        std::make_tuple("word_jaccard", &WordJaccard),
-        std::make_tuple("qgram_jaccard", &QGramJaccard3),
-        std::make_tuple("levenshtein", &LevenshteinSimilarity),
-        std::make_tuple("jaro", &JaroSimilarity),
-        std::make_tuple("jaro_winkler", &JaroWinklerSimilarity),
-        std::make_tuple("cosine", &CosineWordSimilarity),
-        std::make_tuple("overlap", &OverlapCoefficient)),
-    [](const auto& info) { return std::get<0>(info.param); });
+        SimilarityCase{"word_jaccard", &WordJaccard},
+        SimilarityCase{"qgram_jaccard", &QGramJaccard3},
+        SimilarityCase{"levenshtein", &LevenshteinSimilarity},
+        SimilarityCase{"jaro", &JaroSimilarity},
+        SimilarityCase{"jaro_winkler", &JaroWinklerSimilarity},
+        SimilarityCase{"cosine", &CosineWordSimilarity},
+        SimilarityCase{"overlap", &OverlapCoefficient}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // -------------------------------------------------------------- sim join --
 

@@ -95,7 +95,7 @@ std::vector<WireRequest> AllRequests() {
   stats.request_id = 91;
   all.push_back(stats);
 
-  // --- v3 (sharding) requests ---
+  // --- sharding requests ---
   WireRequest exp;
   exp.type = WireRequestType::kExportState;
   exp.request_id = 92;
@@ -233,18 +233,9 @@ std::vector<WireResponse> AllResponses() {
   stats.stats.sim_join_full = 24;
   stats.stats.sim_join_fallbacks = 25;
   stats.stats.sim_join_delta_syncs = 26;
-  stats.stats.em_infer_batches = 27;
-  stats.stats.em_infer_batch_items = 28;
-  stats.stats.em_infer_batch_rows = 29;
-  stats.stats.pair_feature_batches = 30;
-  stats.stats.pair_feature_batch_items = 31;
-  stats.stats.pair_feature_batch_rows = 32;
-  stats.stats.knn_batches = 33;
-  stats.stats.knn_batch_items = 34;
-  stats.stats.knn_batch_rows = 35;
   all.push_back(stats);
 
-  // --- v3 (sharding) responses ---
+  // --- sharding responses ---
   WireResponse state;
   state.type = WireResponseType::kState;
   state.request_id = 7;
@@ -453,9 +444,9 @@ TEST(WireCodecTest, ErrorResponseCarriesCodeAndMessage) {
   EXPECT_FALSE(DecodeResponsePayload(mutated).ok());
 }
 
-// All 25 ServeStats counters — including the nine PR-era kernel-batching
-// occupancy counters — survive the StatsResponse codec with distinct
-// values, at both speakable versions (the counters shipped with v2).
+// All 16 wire-carried ServeStats counters survive the StatsResponse codec
+// with distinct values. The retired kernel-batching members are not on the
+// wire and decode as 0.
 TEST(WireStatsTest, StatsResponseRoundTripsEveryCounter) {
   WireResponse stats;
   stats.type = WireResponseType::kStats;
@@ -467,51 +458,34 @@ TEST(WireStatsTest, StatsResponseRoundTripsEveryCounter) {
         &s.restores_from_disk, &s.rejected_capacity, &s.rejected_inflight,
         &s.rejected_session_queue, &s.detect_full_scans,
         &s.detect_delta_updates, &s.erg_full_builds, &s.erg_delta_updates,
-        &s.sim_join_full, &s.sim_join_fallbacks, &s.sim_join_delta_syncs,
-        &s.em_infer_batches, &s.em_infer_batch_items, &s.em_infer_batch_rows,
-        &s.pair_feature_batches, &s.pair_feature_batch_items,
-        &s.pair_feature_batch_rows, &s.knn_batches, &s.knn_batch_items,
-        &s.knn_batch_rows}) {
-    *field = ++v;  // 1001..1025: every counter distinct
+        &s.sim_join_full, &s.sim_join_fallbacks, &s.sim_join_delta_syncs}) {
+    *field = ++v;  // 1001..1016: every counter distinct
   }
+  s.em_infer_batches = 7;  // not encoded
 
-  for (uint8_t version : {kWireVersionMin, kWireVersion}) {
-    SCOPED_TRACE(static_cast<int>(version));
-    std::string buffer = EncodeResponse(stats, version);
-    std::string payload;
-    uint8_t framed_version = 0;
-    ASSERT_EQ(NextFrame(buffer, &payload, &framed_version),
-              FrameStatus::kFrame);
-    EXPECT_EQ(framed_version, version);
-    Result<WireResponse> decoded = DecodeResponsePayload(payload, version);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    const ServeStats& d = decoded.value().stats;
-    EXPECT_EQ(d.sessions_created, 1001u);
-    EXPECT_EQ(d.steps, 1002u);
-    EXPECT_EQ(d.answers, 1003u);
-    EXPECT_EQ(d.snapshots, 1004u);
-    EXPECT_EQ(d.evictions, 1005u);
-    EXPECT_EQ(d.restores_from_disk, 1006u);
-    EXPECT_EQ(d.rejected_capacity, 1007u);
-    EXPECT_EQ(d.rejected_inflight, 1008u);
-    EXPECT_EQ(d.rejected_session_queue, 1009u);
-    EXPECT_EQ(d.detect_full_scans, 1010u);
-    EXPECT_EQ(d.detect_delta_updates, 1011u);
-    EXPECT_EQ(d.erg_full_builds, 1012u);
-    EXPECT_EQ(d.erg_delta_updates, 1013u);
-    EXPECT_EQ(d.sim_join_full, 1014u);
-    EXPECT_EQ(d.sim_join_fallbacks, 1015u);
-    EXPECT_EQ(d.sim_join_delta_syncs, 1016u);
-    EXPECT_EQ(d.em_infer_batches, 1017u);
-    EXPECT_EQ(d.em_infer_batch_items, 1018u);
-    EXPECT_EQ(d.em_infer_batch_rows, 1019u);
-    EXPECT_EQ(d.pair_feature_batches, 1020u);
-    EXPECT_EQ(d.pair_feature_batch_items, 1021u);
-    EXPECT_EQ(d.pair_feature_batch_rows, 1022u);
-    EXPECT_EQ(d.knn_batches, 1023u);
-    EXPECT_EQ(d.knn_batch_items, 1024u);
-    EXPECT_EQ(d.knn_batch_rows, 1025u);
-  }
+  std::string payload = PayloadOf(EncodeResponse(stats));
+  // type(1) + request_id(8) + 16 x u64.
+  EXPECT_EQ(payload.size(), 1u + 8u + 16u * 8u);
+  Result<WireResponse> decoded = DecodeResponsePayload(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const ServeStats& d = decoded.value().stats;
+  EXPECT_EQ(d.sessions_created, 1001u);
+  EXPECT_EQ(d.steps, 1002u);
+  EXPECT_EQ(d.answers, 1003u);
+  EXPECT_EQ(d.snapshots, 1004u);
+  EXPECT_EQ(d.evictions, 1005u);
+  EXPECT_EQ(d.restores_from_disk, 1006u);
+  EXPECT_EQ(d.rejected_capacity, 1007u);
+  EXPECT_EQ(d.rejected_inflight, 1008u);
+  EXPECT_EQ(d.rejected_session_queue, 1009u);
+  EXPECT_EQ(d.detect_full_scans, 1010u);
+  EXPECT_EQ(d.detect_delta_updates, 1011u);
+  EXPECT_EQ(d.erg_full_builds, 1012u);
+  EXPECT_EQ(d.erg_delta_updates, 1013u);
+  EXPECT_EQ(d.sim_join_full, 1014u);
+  EXPECT_EQ(d.sim_join_fallbacks, 1015u);
+  EXPECT_EQ(d.sim_join_delta_syncs, 1016u);
+  EXPECT_EQ(d.em_infer_batches, 0u);
 }
 
 TEST(WireVersionTest, FrameVersionIsReportedAndBounded) {
@@ -520,66 +494,33 @@ TEST(WireVersionTest, FrameVersionIsReportedAndBounded) {
   step.request_id = 11;
   step.session_id = "s";
 
-  // A v2 frame decodes at v2 byte-for-byte.
-  std::string buffer = EncodeRequest(step, 2);
-  EXPECT_EQ(static_cast<uint8_t>(buffer[4]), 2u);
-  std::string payload;
-  uint8_t version = 0;
-  ASSERT_EQ(NextFrame(buffer, &payload, &version), FrameStatus::kFrame);
-  EXPECT_EQ(version, 2u);
-  ASSERT_TRUE(DecodeRequestPayload(payload, version).ok());
+  // Every frame carries kWireVersion.
+  std::string frame = EncodeRequest(step);
+  EXPECT_EQ(static_cast<uint8_t>(frame[4]), kWireVersion);
 
-  // Versions outside [kWireVersionMin, kWireVersion] are malformed headers:
-  // 1 (pre-history) and kWireVersion + 1 (the future) both close the
+  // Any other version is a malformed header: 1 (pre-history), 2 and 3
+  // (older layouts) and kWireVersion + 1 (the future) all close the
   // connection.
-  for (uint8_t bad : {uint8_t{1}, static_cast<uint8_t>(kWireVersion + 1)}) {
-    std::string frame = EncodeRequest(step);
-    frame[4] = static_cast<char>(bad);
-    EXPECT_EQ(NextFrame(frame, &payload, &version), FrameStatus::kBad)
+  std::string payload;
+  for (uint8_t bad : {uint8_t{1}, uint8_t{2}, uint8_t{3},
+                      static_cast<uint8_t>(kWireVersion + 1)}) {
+    std::string bad_frame = frame;
+    bad_frame[4] = static_cast<char>(bad);
+    EXPECT_EQ(NextFrame(bad_frame, &payload), FrameStatus::kBad)
         << static_cast<int>(bad);
   }
 }
 
-TEST(WireVersionTest, V3TypesAreRejectedAtV2) {
-  // Every v3-only request type decodes at v3 but is refused at v2 — a v2
-  // peer must never half-understand the sharding surface.
-  for (const WireRequest& req : AllRequests()) {
-    std::string payload = EncodeRequestPayload(req);
-    ASSERT_TRUE(DecodeRequestPayload(payload, kWireVersion).ok())
-        << static_cast<int>(req.type);
-    bool v3_only =
-        static_cast<uint8_t>(req.type) > kMaxWireRequestTypeV2;
-    EXPECT_EQ(DecodeRequestPayload(payload, 2).ok(), !v3_only)
-        << static_cast<int>(req.type);
-  }
-  // Same for v3-only response types (kState, kTopology).
-  for (const WireResponse& resp : AllResponses()) {
-    if (static_cast<uint8_t>(resp.type) <= kMaxWireResponseTypeV2) continue;
-    std::string payload = PayloadOf(EncodeResponse(resp));
-    EXPECT_TRUE(DecodeResponsePayload(payload, kWireVersion).ok());
-    EXPECT_FALSE(DecodeResponsePayload(payload, 2).ok())
-        << static_cast<int>(resp.type);
-  }
-}
-
-TEST(WireVersionTest, V3StatusCodesClampToInternalAtV2) {
+// The sharding status codes travel as themselves; nothing clamps them.
+TEST(WireVersionTest, ShardingStatusCodesSurviveTheWire) {
   for (StatusCode code :
        {StatusCode::kUnavailable, StatusCode::kDeadlineExceeded}) {
     WireResponse err = ErrorResponse(7, Status(code, "gone"));
-    // At v3 the code survives.
-    Result<WireResponse> at3 =
-        DecodeResponsePayload(PayloadOf(EncodeResponse(err, 3)), 3);
-    ASSERT_TRUE(at3.ok());
-    EXPECT_EQ(at3.value().code, code);
-    // At v2 the encoder clamps to kInternal — a v2 peer would reject the
-    // out-of-range enum otherwise.
-    std::string buffer = EncodeResponse(err, 2);
-    std::string payload;
-    ASSERT_EQ(NextFrame(buffer, &payload), FrameStatus::kFrame);
-    Result<WireResponse> at2 = DecodeResponsePayload(payload, 2);
-    ASSERT_TRUE(at2.ok()) << at2.status().ToString();
-    EXPECT_EQ(at2.value().code, StatusCode::kInternal);
-    EXPECT_EQ(at2.value().message, "gone");
+    Result<WireResponse> decoded =
+        DecodeResponsePayload(PayloadOf(EncodeResponse(err)));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded.value().code, code);
+    EXPECT_EQ(decoded.value().message, "gone");
   }
 }
 
@@ -603,13 +544,13 @@ void SendRaw(int fd, const std::string& bytes) {
   }
 }
 
-// Reads until one whole frame pops out; returns its payload + version.
-std::string ReadRawFrame(int fd, uint8_t* version) {
+// Reads until one whole frame pops out; returns its payload.
+std::string ReadRawFrame(int fd) {
   std::string buffer;
   std::string payload;
   char chunk[512];
   for (;;) {
-    FrameStatus fs = NextFrame(buffer, &payload, version);
+    FrameStatus fs = NextFrame(buffer, &payload);
     if (fs == FrameStatus::kFrame) return payload;
     EXPECT_NE(fs, FrameStatus::kBad);
     if (fs == FrameStatus::kBad) return "";
@@ -620,10 +561,10 @@ std::string ReadRawFrame(int fd, uint8_t* version) {
   }
 }
 
-// End-to-end negotiation: a connection is pinned to the version of its
-// first frame and answered at that version for its lifetime; switching
-// versions mid-connection is a protocol error.
-TEST(WireVersionTest, ServerEchoesThePeersVersion) {
+// End to end: a frame at an older version (a peer built with the previous
+// Stats layout) gets one error frame and the connection is closed; a
+// connection at kWireVersion is served.
+TEST(WireVersionTest, ServerRejectsOtherVersionsAndCloses) {
   SessionManager manager;
   VisCleanServer server(manager);
   ASSERT_TRUE(server.Start().ok());
@@ -633,48 +574,24 @@ TEST(WireVersionTest, ServerEchoesThePeersVersion) {
   stats.request_id = 31;
 
   int fd = RawConnect(server.port());
-  SendRaw(fd, EncodeRequest(stats, 2));
-  uint8_t version = 0;
-  std::string payload = ReadRawFrame(fd, &version);
-  EXPECT_EQ(version, 2u);  // v2 in, v2 out
-  Result<WireResponse> decoded = DecodeResponsePayload(payload, 2);
+  std::string old = EncodeRequest(stats);
+  old[4] = static_cast<char>(kWireVersion - 1);
+  SendRaw(fd, old);
+  Result<WireResponse> decoded = DecodeResponsePayload(ReadRawFrame(fd));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.value().type, WireResponseType::kStats);
-  EXPECT_EQ(decoded.value().request_id, 31u);
-
-  // A v3-only request smuggled inside a v2 frame earns a v2 error frame,
-  // not half-executed sharding machinery.
-  WireRequest exp;
-  exp.type = WireRequestType::kExportState;
-  exp.request_id = 32;
-  exp.session_id = "nobody";
-  SendRaw(fd, EncodeFrame(EncodeRequestPayload(exp), 2));
-  payload = ReadRawFrame(fd, &version);
-  EXPECT_EQ(version, 2u);
-  decoded = DecodeResponsePayload(payload, 2);
-  ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().type, WireResponseType::kError);
-
-  // Switching to v3 on the pinned-v2 connection is rejected and the
-  // connection closed.
-  stats.request_id = 33;
-  SendRaw(fd, EncodeRequest(stats, 3));
-  payload = ReadRawFrame(fd, &version);
-  EXPECT_EQ(version, 2u);
-  decoded = DecodeResponsePayload(payload, 2);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().type, WireResponseType::kError);
+  EXPECT_EQ(decoded.value().code, StatusCode::kInvalidArgument);
   char byte;
   EXPECT_EQ(recv(fd, &byte, 1, 0), 0);  // EOF: server closed
   close(fd);
 
-  // A fresh connection speaking v3 gets v3 answers.
   fd = RawConnect(server.port());
   stats.request_id = 34;
-  SendRaw(fd, EncodeRequest(stats, 3));
-  payload = ReadRawFrame(fd, &version);
-  EXPECT_EQ(version, 3u);
-  ASSERT_TRUE(DecodeResponsePayload(payload, 3).ok());
+  SendRaw(fd, EncodeRequest(stats));
+  decoded = DecodeResponsePayload(ReadRawFrame(fd));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().type, WireResponseType::kStats);
+  EXPECT_EQ(decoded.value().request_id, 34u);
   close(fd);
 
   server.Stop();
