@@ -1,12 +1,14 @@
 // Benefit-estimation scaling: wall time of EstimateBenefits over a real
-// session ERG at 1/2/4/8 worker threads, in both render modes — full
-// recompute per candidate (BenefitMode::kFull) and the provenance-indexed
-// incremental path (BenefitMode::kAuto with a prepared BenefitEngine).
-// Fig. 18 shows benefit estimation dominating machine time at scale, so this
-// is the perf trajectory we track from PR 1 onward; results land in
-// BENCH_benefit_scaling.json next to the human-readable table. The run also
-// re-verifies the determinism contract: every (thread count, mode) pair must
-// produce bit-identical edge benefits.
+// session ERG at 1/2/4/8 worker threads, both ways it renders — full
+// recompute per candidate (no engine, the reference pipeline's benefit
+// stage) and the provenance-indexed incremental path (a prepared
+// BenefitEngine). Fig. 18 shows benefit estimation dominating machine time
+// at scale, so this is the perf trajectory we track from PR 1 onward;
+// results land in BENCH_benefit_scaling.json next to the human-readable
+// table. The run also re-verifies the determinism contract: the warm-up
+// iteration publishes the same benefits through the reference pipeline
+// (ReferencePart::kBenefit, tests/support), and every (thread count,
+// engine) pair must produce bit-identical edge benefits.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -18,6 +20,7 @@
 #include "common/json_writer.h"
 #include "core/benefit_model.h"
 #include "core/pipeline.h"
+#include "support/reference_pipeline.h"
 
 namespace visclean {
 namespace bench {
@@ -27,6 +30,15 @@ double Seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+std::vector<double> EdgeBenefits(const Erg& erg) {
+  std::vector<double> benefits;
+  benefits.reserve(erg.num_edges());
+  for (size_t e = 0; e < erg.num_edges(); ++e) {
+    benefits.push_back(erg.edge(e).benefit);
+  }
+  return benefits;
 }
 
 struct SeriesPoint {
@@ -46,6 +58,20 @@ int Run(bool full) {
   VisCleanSession session(&data, MustParse(task.vql), PaperSessionOptions());
   if (!session.Initialize().ok() || !session.RunIteration().ok()) {
     std::fprintf(stderr, "warm-up iteration failed\n");
+    return 1;
+  }
+  VisCleanSession reference(&data, MustParse(task.vql), PaperSessionOptions());
+  UseReferenceStages(reference, ReferencePart::kBenefit);
+  if (!reference.Initialize().ok() || !reference.RunIteration().ok()) {
+    std::fprintf(stderr, "reference warm-up iteration failed\n");
+    return 1;
+  }
+  if (EdgeBenefits(reference.erg()) != EdgeBenefits(session.erg()) ||
+      reference.context().cqg.Fingerprint() !=
+          session.context().cqg.Fingerprint()) {
+    std::fprintf(stderr,
+                 "FATAL: warm-up benefits diverge from the reference "
+                 "pipeline\n");
     return 1;
   }
   BenefitOptions options;
@@ -96,11 +122,7 @@ int Run(bool full) {
         double elapsed = Seconds(start);
         if (rep == 0 || elapsed < best) best = elapsed;
       }
-      std::vector<double> benefits;
-      benefits.reserve(erg.num_edges());
-      for (size_t e = 0; e < erg.num_edges(); ++e) {
-        benefits.push_back(erg.edge(e).benefit);
-      }
+      std::vector<double> benefits = EdgeBenefits(erg);
       if (threads == 1 && !incremental) {
         baseline_benefits = benefits;
       } else if (benefits != baseline_benefits) {
@@ -178,7 +200,7 @@ int Run(bool full) {
   std::printf("\nserial incremental speedup over full recompute: %.2fx\n",
               incremental_speedup);
   std::printf("wrote BENCH_benefit_scaling.json (all thread counts and both "
-              "modes bit-identical to serial full recompute)\n");
+              "render paths bit-identical to serial full recompute)\n");
   return 0;
 }
 

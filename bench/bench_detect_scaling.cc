@@ -1,14 +1,15 @@
 // Detection scaling: per-iteration wall time of the detect / train /
 // generate stages (IterationTrace::stage_times) with detection routed
-// through the journal-driven DetectionCache (DetectionMode::kAuto) vs the
-// legacy full-scan free functions (DetectionMode::kFull), on the Q1/D1
-// session. Iteration 1 is a full scan either way; from iteration 2 on, the
-// incremental path folds in only the rows the previous iteration's repairs
-// touched, which is where the speedup lives. The run also exercises:
+// through the journal-driven DetectionCache vs the reference pipeline's
+// legacy full-scan free functions (ReferencePart::kDetect, tests/support),
+// on the Q1/D1 session. Iteration 1 is a full scan either way; from
+// iteration 2 on, the incremental path folds in only the rows the previous
+// iteration's repairs touched, which is where the speedup lives. The run also exercises:
 //  * the thread-scaling curve of the pooled full scan (iteration 1);
 //  * the dirty-fraction fallback (threshold 0 forces every delta back to a
 //    full scan — the safety valve the session relies on for bulk edits);
-//  * the determinism contract: the kAuto EMD trajectory must match kFull's.
+//  * the determinism contract: the incremental EMD trajectory must match the
+//    reference's.
 // Results land in BENCH_detect_scaling.json next to the printed table.
 #include <cstdio>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include "bench_util.h"
 #include "common/json_writer.h"
 #include "core/detection_cache.h"
+#include "support/reference_pipeline.h"
 
 namespace visclean {
 namespace bench {
@@ -35,11 +37,9 @@ struct IterationTimes {
   DetectionStats stats;
 };
 
-SessionOptions DetectOptions(DetectionMode mode, size_t threads,
-                             double dirty_threshold) {
+SessionOptions DetectOptions(size_t threads, double dirty_threshold) {
   SessionOptions options = PaperSessionOptions();
   options.budget = kBudget;
-  options.detection_mode = mode;
   options.threads = threads;
   options.detection_dirty_threshold = dirty_threshold;
   // Machine auto-merge rewrites thousands of rows in one shot, so every
@@ -51,9 +51,13 @@ SessionOptions DetectOptions(DetectionMode mode, size_t threads,
   return options;
 }
 
+// `reference` runs the reference pipeline's detect stage instead of the
+// DetectionCache.
 IterationTimes RunSession(const DirtyDataset& data, const BenchTask& task,
-                          const SessionOptions& options) {
+                          const SessionOptions& options,
+                          bool reference = false) {
   VisCleanSession session(&data, MustParse(task.vql), options);
+  if (reference) UseReferenceStages(session, ReferencePart::kDetect);
   IterationTimes out;
   if (!session.Initialize().ok()) return out;
   for (size_t i = 0; i < options.budget; ++i) {
@@ -95,18 +99,18 @@ int Run(bool full) {
                 "overhead; the incremental speedup is thread-free.\n\n");
   }
 
-  // Reference (kFull) vs incremental (kAuto), both serial.
+  // Reference vs incremental, both serial.
   IterationTimes ref =
-      RunSession(data, task, DetectOptions(DetectionMode::kFull, 1, 0.35));
-  IterationTimes inc =
-      RunSession(data, task, DetectOptions(DetectionMode::kAuto, 1, 0.35));
+      RunSession(data, task, DetectOptions(1, 0.35), /*reference=*/true);
+  IterationTimes inc = RunSession(data, task, DetectOptions(1, 0.35));
   if (ref.emd.size() != kBudget || inc.emd.size() != kBudget) {
     std::fprintf(stderr, "FATAL: a session failed mid-run\n");
     return 1;
   }
   if (ref.emd != inc.emd) {
     std::fprintf(stderr,
-                 "FATAL: kAuto EMD trajectory diverges from kFull\n");
+                 "FATAL: incremental EMD trajectory diverges from the "
+                 "reference\n");
     return 1;
   }
 
@@ -143,11 +147,10 @@ int Run(bool full) {
   };
   std::vector<ThreadPoint> curve;
   for (size_t threads : {1, 2, 4, 8}) {
-    IterationTimes t = RunSession(
-        data, task, DetectOptions(DetectionMode::kAuto, threads, 0.35));
+    IterationTimes t = RunSession(data, task, DetectOptions(threads, 0.35));
     if (t.emd != ref.emd) {
       std::fprintf(stderr,
-                   "FATAL: %zu-thread kAuto EMD trajectory diverges\n",
+                   "FATAL: %zu-thread incremental EMD trajectory diverges\n",
                    threads);
       return 1;
     }
@@ -159,8 +162,7 @@ int Run(bool full) {
 
   // Fallback case: a zero threshold sends every dirty delta back to a full
   // scan; the results (EMD trajectory) must be unchanged.
-  IterationTimes fb =
-      RunSession(data, task, DetectOptions(DetectionMode::kAuto, 1, 0.0));
+  IterationTimes fb = RunSession(data, task, DetectOptions(1, 0.0));
   if (fb.emd != ref.emd) {
     std::fprintf(stderr, "FATAL: fallback run EMD trajectory diverges\n");
     return 1;
@@ -202,17 +204,18 @@ int Run(bool full) {
     DirtyDataset sweep_data =
         MakeDataset(ds, full ? 0 : DefaultEntities(ds));
     BenchTask sweep_task = TasksFor(ds).front();
-    IterationTimes sweep_ref = RunSession(
-        sweep_data, sweep_task, DetectOptions(DetectionMode::kFull, 1, 0.35));
+    IterationTimes sweep_ref =
+        RunSession(sweep_data, sweep_task, DetectOptions(1, 0.35),
+                   /*reference=*/true);
     SweepPick pick{ds, kThresholds[0], 0.0};
     bool first = true;
     for (double threshold : kThresholds) {
-      IterationTimes t = RunSession(
-          sweep_data, sweep_task,
-          DetectOptions(DetectionMode::kAuto, 1, threshold));
+      IterationTimes t =
+          RunSession(sweep_data, sweep_task, DetectOptions(1, threshold));
       if (t.emd != sweep_ref.emd) {
         std::fprintf(stderr,
-                     "FATAL: %s sweep at threshold %.2f diverges from kFull\n",
+                     "FATAL: %s sweep at threshold %.2f diverges from the "
+                     "reference\n",
                      ds, threshold);
         return 1;
       }
@@ -327,7 +330,7 @@ int Run(bool full) {
   std::ofstream out("BENCH_detect_scaling.json");
   out << json.TakeString() << "\n";
   std::printf("\nwrote BENCH_detect_scaling.json (EMD trajectories "
-              "bit-identical across modes, threads, and fallback)\n");
+              "bit-identical across reference, threads, and fallback)\n");
   return 0;
 }
 

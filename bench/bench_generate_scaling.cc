@@ -1,16 +1,16 @@
 // Generate-stage scaling: per-iteration wall time of the generate stage
 // (active-learning T-questions, entity clustering, and Algorithm 1's
 // A-question generation) with the Strategy-2 similarity join maintained
-// incrementally by the journal-driven ErgCache (ErgMode::kAuto) vs re-run
-// from scratch every iteration (ErgMode::kFull), on the Q1/D1 session.
-// Iteration 1 primes the join either way; from iteration 2 on, the
-// incremental path nets the X value index's spelling deltas into
-// insert/retract against the live join state — that is where the speedup
-// lives. The run also exercises:
+// incrementally by the journal-driven ErgCache vs re-run from scratch every
+// iteration by the reference pipeline (ReferencePart::kErg, tests/support),
+// on the Q1/D1 session. Iteration 1 primes the join either way; from
+// iteration 2 on, the incremental path nets the X value index's spelling
+// deltas into insert/retract against the live join state — that is where
+// the speedup lives. The run also exercises:
 //  * the dirty-fraction fallback (threshold 0 forces every delta back to a
 //    pooled full rebuild — the safety valve for bulk edits);
-//  * the determinism contract: the kAuto EMD trajectory must match kFull's,
-//    serial and threaded (the A-questions are bit-identical by
+//  * the determinism contract: the incremental EMD trajectory must match the
+//    reference's, serial and threaded (the A-questions are bit-identical by
 //    construction; the differential suite gates the full sweep).
 // Results land in BENCH_generate_scaling.json;
 // `generate_speedup_after_iter1` is the headline metric and the run fails
@@ -26,6 +26,7 @@
 #include "bench_util.h"
 #include "common/json_writer.h"
 #include "core/erg_cache.h"
+#include "support/reference_pipeline.h"
 
 namespace visclean {
 namespace bench {
@@ -39,11 +40,9 @@ struct IterationTimes {
   SimJoinStats stats;
 };
 
-SessionOptions GenerateOptions(ErgMode mode, size_t threads,
-                               double dirty_threshold) {
+SessionOptions GenerateOptions(size_t threads, double dirty_threshold) {
   SessionOptions options = PaperSessionOptions("gss", "D1");
   options.budget = kBudget;
-  options.erg_mode = mode;
   options.threads = threads;
   options.erg_dirty_threshold = dirty_threshold;
   // Keep the interactive loop (one composite question's repairs per
@@ -51,7 +50,7 @@ SessionOptions GenerateOptions(ErgMode mode, size_t threads,
   // the differential suite, mirroring bench_select_scaling.
   options.auto_merge_threshold = 1.1;
   // λ = 0.6 keeps the joined-pair output small, so the generate cost the
-  // two modes share (consuming the pairs) stays low and the from-scratch
+  // two pipelines share (consuming the pairs) stays low and the from-scratch
   // path is dominated by exactly the work the journal-driven join
   // eliminates: the per-iteration distinct-spelling row scan and the
   // self-join itself.
@@ -59,9 +58,13 @@ SessionOptions GenerateOptions(ErgMode mode, size_t threads,
   return options;
 }
 
+// `reference` runs the reference pipeline's erg stages instead of the
+// ErgCache.
 IterationTimes RunSession(const DirtyDataset& data, const BenchTask& task,
-                          const SessionOptions& options) {
+                          const SessionOptions& options,
+                          bool reference = false) {
   VisCleanSession session(&data, MustParse(task.vql), options);
+  if (reference) UseReferenceStages(session, ReferencePart::kErg);
   IterationTimes out;
   if (!session.Initialize().ok()) return out;
   for (size_t i = 0; i < options.budget; ++i) {
@@ -84,10 +87,11 @@ IterationTimes RunSession(const DirtyDataset& data, const BenchTask& task,
 // iteration's cost on a shared box. EMD trajectories and join counters are
 // asserted identical across the repeats.
 IterationTimes RunSessionMinOf(const DirtyDataset& data, const BenchTask& task,
-                               const SessionOptions& options, size_t runs) {
-  IterationTimes best = RunSession(data, task, options);
+                               const SessionOptions& options, size_t runs,
+                               bool reference = false) {
+  IterationTimes best = RunSession(data, task, options, reference);
   for (size_t r = 1; r < runs; ++r) {
-    IterationTimes again = RunSession(data, task, options);
+    IterationTimes again = RunSession(data, task, options, reference);
     if (again.emd != best.emd) {
       std::fprintf(stderr, "FATAL: a session replay diverged\n");
       std::exit(1);
@@ -119,17 +123,19 @@ int Run(bool full, bool smoke) {
   std::printf("=== Generate scaling (Q1/D1, %zu rows, %zu cores%s) ===\n\n",
               data.dirty.num_rows(), cores, smoke ? ", smoke" : "");
 
-  // Reference (kFull) vs incremental (kAuto), both serial.
+  // Reference vs incremental, both serial.
   IterationTimes ref = RunSessionMinOf(
-      data, task, GenerateOptions(ErgMode::kFull, 1, threshold), runs);
-  IterationTimes inc = RunSessionMinOf(
-      data, task, GenerateOptions(ErgMode::kAuto, 1, threshold), runs);
+      data, task, GenerateOptions(1, threshold), runs, /*reference=*/true);
+  IterationTimes inc =
+      RunSessionMinOf(data, task, GenerateOptions(1, threshold), runs);
   if (ref.emd.size() != kBudget || inc.emd.size() != kBudget) {
     std::fprintf(stderr, "FATAL: a session failed mid-run\n");
     return 1;
   }
   if (ref.emd != inc.emd) {
-    std::fprintf(stderr, "FATAL: kAuto EMD trajectory diverges from kFull\n");
+    std::fprintf(stderr,
+                 "FATAL: incremental EMD trajectory diverges from the "
+                 "reference\n");
     return 1;
   }
 
@@ -156,16 +162,16 @@ int Run(bool full, bool smoke) {
   // Threaded determinism: the maintained join must not change the
   // trajectory at any thread count.
   IterationTimes threaded =
-      RunSession(data, task, GenerateOptions(ErgMode::kAuto, 8, threshold));
+      RunSession(data, task, GenerateOptions(8, threshold));
   if (threaded.emd != ref.emd) {
-    std::fprintf(stderr, "FATAL: 8-thread kAuto EMD trajectory diverges\n");
+    std::fprintf(stderr,
+                 "FATAL: 8-thread incremental EMD trajectory diverges\n");
     return 1;
   }
 
   // Fallback case: a zero threshold sends every dirty delta back to a
   // pooled full rebuild; the trajectory must be unchanged.
-  IterationTimes fb =
-      RunSession(data, task, GenerateOptions(ErgMode::kAuto, 1, 0.0));
+  IterationTimes fb = RunSession(data, task, GenerateOptions(1, 0.0));
   if (fb.emd != ref.emd) {
     std::fprintf(stderr, "FATAL: fallback run EMD trajectory diverges\n");
     return 1;
@@ -243,7 +249,7 @@ int Run(bool full, bool smoke) {
   std::ofstream out("BENCH_generate_scaling.json");
   out << json.TakeString() << "\n";
   std::printf("\nwrote BENCH_generate_scaling.json (EMD trajectories "
-              "bit-identical across modes, threads, and fallback)\n");
+              "bit-identical across reference, threads, and fallback)\n");
   return 0;
 }
 

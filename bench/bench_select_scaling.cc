@@ -1,16 +1,17 @@
 // Select-stage scaling: per-iteration wall time of the assemble / select
 // stages with the ERG maintained incrementally by the journal-driven
-// ErgCache (ErgMode::kAuto) vs rebuilt from scratch every iteration
-// (ErgMode::kFull), on the Q1/D1 session. Iteration 1 is a full build
-// either way; from iteration 2 on, the incremental path folds only the
-// journal rows the previous iteration's repairs touched into the X value
-// index and applies the QuestionStore delta to the maintained graph — that
+// ErgCache vs rebuilt from scratch every iteration by the reference
+// pipeline (ReferencePart::kErg, tests/support), on the Q1/D1 session.
+// Iteration 1 is a full build either way; from iteration 2 on, the
+// incremental path folds only the journal rows the previous iteration's
+// repairs touched into the X value index and applies the QuestionStore delta to the maintained graph — that
 // is where the speedup lives. The run also exercises:
 //  * the thread-scaling curve (the pooled index rebuild of iteration 1);
 //  * the dirty-fraction fallback (threshold 0 forces every delta back to a
 //    pooled full rebuild — the safety valve for bulk edits);
-//  * the determinism contract: the kAuto EMD trajectory must match kFull's
-//    at every thread count (the graphs are bit-identical by construction).
+//  * the determinism contract: the incremental EMD trajectory must match the
+//    reference's at every thread count (the graphs are bit-identical by
+//    construction).
 // Results land in BENCH_select_scaling.json; `select_speedup_after_iter1`
 // is the headline metric and the run fails if it drops below 3x.
 #include <cstdio>
@@ -22,6 +23,7 @@
 #include "bench_util.h"
 #include "common/json_writer.h"
 #include "core/erg_cache.h"
+#include "support/reference_pipeline.h"
 
 namespace visclean {
 namespace bench {
@@ -39,11 +41,9 @@ struct IterationTimes {
   ErgStats stats;
 };
 
-SessionOptions SelectOptions(ErgMode mode, size_t threads,
-                             double dirty_threshold) {
+SessionOptions SelectOptions(size_t threads, double dirty_threshold) {
   SessionOptions options = PaperSessionOptions("gss", "D1");
   options.budget = kBudget;
-  options.erg_mode = mode;
   options.threads = threads;
   options.erg_dirty_threshold = dirty_threshold;
   // Keep the interactive loop (one composite question's repairs per
@@ -53,9 +53,13 @@ SessionOptions SelectOptions(ErgMode mode, size_t threads,
   return options;
 }
 
+// `reference` runs the reference pipeline's erg stages instead of the
+// ErgCache.
 IterationTimes RunSession(const DirtyDataset& data, const BenchTask& task,
-                          const SessionOptions& options) {
+                          const SessionOptions& options,
+                          bool reference = false) {
   VisCleanSession session(&data, MustParse(task.vql), options);
+  if (reference) UseReferenceStages(session, ReferencePart::kErg);
   IterationTimes out;
   if (!session.Initialize().ok()) return out;
   for (size_t i = 0; i < options.budget; ++i) {
@@ -93,17 +97,18 @@ int Run(bool full) {
   std::printf("=== Select scaling (Q1/D1, %zu rows, %zu cores) ===\n\n",
               data.dirty.num_rows(), cores);
 
-  // Reference (kFull) vs incremental (kAuto), both serial.
+  // Reference vs incremental, both serial.
   IterationTimes ref =
-      RunSession(data, task, SelectOptions(ErgMode::kFull, 1, threshold));
-  IterationTimes inc =
-      RunSession(data, task, SelectOptions(ErgMode::kAuto, 1, threshold));
+      RunSession(data, task, SelectOptions(1, threshold), /*reference=*/true);
+  IterationTimes inc = RunSession(data, task, SelectOptions(1, threshold));
   if (ref.emd.size() != kBudget || inc.emd.size() != kBudget) {
     std::fprintf(stderr, "FATAL: a session failed mid-run\n");
     return 1;
   }
   if (ref.emd != inc.emd) {
-    std::fprintf(stderr, "FATAL: kAuto EMD trajectory diverges from kFull\n");
+    std::fprintf(stderr,
+                 "FATAL: incremental EMD trajectory diverges from the "
+                 "reference\n");
     return 1;
   }
 
@@ -142,10 +147,11 @@ int Run(bool full) {
   };
   std::vector<ThreadPoint> curve;
   for (size_t threads : {1, 2, 4, 8}) {
-    IterationTimes t = RunSession(
-        data, task, SelectOptions(ErgMode::kAuto, threads, threshold));
+    IterationTimes t =
+        RunSession(data, task, SelectOptions(threads, threshold));
     if (t.emd != ref.emd) {
-      std::fprintf(stderr, "FATAL: %zu-thread kAuto EMD trajectory diverges\n",
+      std::fprintf(stderr,
+                   "FATAL: %zu-thread incremental EMD trajectory diverges\n",
                    threads);
       return 1;
     }
@@ -157,8 +163,7 @@ int Run(bool full) {
 
   // Fallback case: a zero threshold sends every dirty delta back to a
   // pooled full rebuild; the trajectory must be unchanged.
-  IterationTimes fb =
-      RunSession(data, task, SelectOptions(ErgMode::kAuto, 1, 0.0));
+  IterationTimes fb = RunSession(data, task, SelectOptions(1, 0.0));
   if (fb.emd != ref.emd) {
     std::fprintf(stderr, "FATAL: fallback run EMD trajectory diverges\n");
     return 1;
@@ -251,7 +256,7 @@ int Run(bool full) {
   std::ofstream out("BENCH_select_scaling.json");
   out << json.TakeString() << "\n";
   std::printf("\nwrote BENCH_select_scaling.json (EMD trajectories "
-              "bit-identical across modes, threads, and fallback)\n");
+              "bit-identical across reference, threads, and fallback)\n");
   return 0;
 }
 

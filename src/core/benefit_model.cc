@@ -24,7 +24,7 @@ VisData Render(const VqlQuery& query, const Table& table) {
 
 // Everything one evaluation thread needs to render a candidate
 // incrementally: the shared immutable baseline plus its own scratch.
-// `prov` is null when only counters are wanted (full-render modes).
+// `prov` is null when only counters are wanted (full renders).
 struct IncrementalCtx {
   const VisProvenance* prov = nullptr;  // shared, read-only
   DeltaScratch* scratch = nullptr;      // per-worker
@@ -178,8 +178,7 @@ size_t EstimateBenefits(const VqlQuery& query, Table* table, Erg* erg,
   // from-scratch render (same bits — both come from ExecuteImpl / the
   // delta-commit that is proven equivalent to it), and when the provenance
   // index is valid each candidate re-aggregates only its dirty groups.
-  const bool have_engine =
-      options.engine != nullptr && options.mode == BenefitMode::kAuto;
+  const bool have_engine = options.engine != nullptr;
   const bool incremental = have_engine && options.engine->incremental_ready();
 
   VisData current_storage;
@@ -190,7 +189,7 @@ size_t EstimateBenefits(const VqlQuery& query, Table* table, Erg* erg,
     current_storage = Render(query, *table);
     current = &current_storage;
   }
-  ++renders;  // the baseline counts as one evaluation in every mode
+  ++renders;  // the baseline counts as one evaluation, engine or not
 
   const size_t num_vertices = erg->num_vertices();
   const size_t num_edges = erg->num_edges();

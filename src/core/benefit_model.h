@@ -19,17 +19,6 @@ namespace visclean {
 
 class ThreadPool;
 
-/// \brief How EstimateBenefits renders speculative repairs.
-enum class BenefitMode {
-  /// Use the engine's cached baseline + provenance when available: each
-  /// candidate re-aggregates only the groups its repair touched. Falls back
-  /// to full renders per candidate when the query has no group structure.
-  kAuto,
-  /// Always re-render Q(D) from every live row — the reference path the
-  /// differential suite compares the incremental path against bit-for-bit.
-  kFull,
-};
-
 /// \brief Cross-iteration cache behind the incremental benefit path: the
 /// baseline visualization Q(D) plus its tuple->group provenance index.
 ///
@@ -90,7 +79,8 @@ class BenefitEngine {
   size_t delta_commits_ = 0;
 };
 
-/// \brief Per-call counters (all modes; filled when `stats` is set).
+/// \brief Per-call counters (with or without an engine; filled when `stats`
+/// is set).
 struct BenefitStats {
   size_t renders = 0;      ///< total speculative evaluations (+1 baseline)
   size_t delta_evals = 0;  ///< evaluations served by ExecuteVqlDelta
@@ -114,13 +104,12 @@ struct BenefitOptions {
   /// per call.
   ThreadPool* pool = nullptr;
 
-  /// Optional prepared cache (see BenefitEngine). Null = legacy behaviour:
-  /// every candidate re-renders from scratch. The engine must have been
-  /// Prepare()d against exactly this (query, table) state.
+  /// Optional prepared cache (see BenefitEngine) — the only switch for
+  /// incremental benefits. Null = every candidate re-renders Q(D) from
+  /// scratch (the reference the differential suite compares against). The
+  /// engine must have been Prepare()d against exactly this (query, table)
+  /// state.
   BenefitEngine* engine = nullptr;
-  /// Ignored when `engine` is null. kFull forces the reference path even
-  /// with an engine attached.
-  BenefitMode mode = BenefitMode::kAuto;
 
   /// Optional out-param for per-call counters.
   BenefitStats* stats = nullptr;
@@ -147,9 +136,9 @@ struct BenefitOptions {
 /// unchanged on return (worker threads never touch it — each repairs its
 /// own clone). Returns the number of visualization evaluations performed
 /// (diagnostics for the Fig. 18 bench); the count is independent of the
-/// thread count and of the incremental mode — only the cost per evaluation
-/// changes. The computed benefits are bit-identical across all (threads,
-/// mode, engine) combinations.
+/// thread count and of the engine — only the cost per evaluation changes.
+/// The computed benefits are bit-identical across all (threads, engine)
+/// combinations.
 size_t EstimateBenefits(const VqlQuery& query, Table* table, Erg* erg,
                         const BenefitOptions& options = {});
 

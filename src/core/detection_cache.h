@@ -28,18 +28,6 @@ namespace visclean {
 
 class ThreadPool;
 
-/// \brief How DetectStage produces its outputs.
-enum class DetectionMode {
-  /// Route detection through the session's DetectionCache: full scans on the
-  /// first iteration / config changes / large dirty fractions, journal-driven
-  /// per-row deltas otherwise. Train and generate reuse the cache's feature
-  /// memo and sim-join memo. Results are bit-identical to kFull.
-  kAuto,
-  /// Always call the legacy free functions, serial and uncached — the
-  /// reference path the differential suite compares kAuto against.
-  kFull,
-};
-
 /// \brief Everything DetectStage wants detected this iteration.
 struct DetectionRequest {
   BlockingOptions blocking;  ///< candidate-pair generation config
@@ -105,8 +93,11 @@ class DetectionCache {
     return outlier_.questions();
   }
 
-  /// Caches lent to the later stages of the same iteration.
-  PairFeatureCache* features() { return &features_; }
+  /// The pair-feature memo lent to the later stages of the same iteration,
+  /// or null while the cache is unprimed: the memo is invalidated only by
+  /// BeginIteration's journal fold, so it is valid only once that has run
+  /// (a pipeline whose detect stage bypasses the cache trains memo-less).
+  PairFeatureCache* features() { return primed_ ? &features_ : nullptr; }
 
   /// Fast-forwards the watermark without touching any cache. Valid ONLY when
   /// the table is bit-for-bit back in its last-BeginIteration state (i.e.

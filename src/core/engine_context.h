@@ -49,34 +49,20 @@ struct SessionOptions {
   /// matched to the #edges of a typical CQG).
   size_t single_m = 10;
 
-  /// Worker threads for benefit estimation (BenefitStage). 1 preserves
-  /// today's exact serial behaviour; N > 1 evaluates speculative repairs on
-  /// a session-owned ThreadPool with bit-identical results.
+  /// Worker threads of the session-owned pool behind every pooled kernel:
+  /// detection full scans, pair features, EM inference, kNN, X-index
+  /// rebuilds, the similarity join and benefit estimation. 1 runs serially;
+  /// outputs are bit-identical at any count. Served sessions ignore this
+  /// field: they borrow the SessionManager's pool or run serially
+  /// (ServeOptions::pool_threads), so a client cannot choose how many OS
+  /// threads the server starts (DESIGN.md §3).
   size_t threads = 1;
 
-  /// How BenefitStage renders speculative repairs. kAuto (default) keeps a
-  /// provenance-indexed baseline across iterations and re-aggregates only
-  /// the groups each candidate repair touches; kFull re-renders Q(D) from
-  /// scratch per candidate (the reference the differential suite compares
-  /// against). Benefits are bit-identical either way.
-  BenefitMode benefit_mode = BenefitMode::kAuto;
-
-  /// How DetectStage runs. kAuto (default) drives detection through the
-  /// session's DetectionCache: journal-driven per-row deltas after the first
-  /// iteration, pooled full scans otherwise, with the pair-feature memo
-  /// lent to TrainStage. kFull is the legacy serial, uncached path
-  /// the differential suite compares against. Outputs are bit-identical.
-  DetectionMode detection_mode = DetectionMode::kAuto;
-  /// Dirty fraction above which kAuto abandons the delta update for a full
-  /// scan (see DetectionRequest::dirty_fallback_threshold).
+  /// Dirty fraction above which DetectStage abandons the DetectionCache's
+  /// journal delta for a full scan (see
+  /// DetectionRequest::dirty_fallback_threshold).
   double detection_dirty_threshold = 0.35;
 
-  /// How the assemble stage builds the ERG. kAuto (default) maintains the
-  /// graph across iterations through the session's ErgCache (QuestionStore
-  /// deltas + journal-driven X value index); kFull assembles from scratch
-  /// every iteration (the reference the differential suite compares
-  /// against). The published graph is bit-identical either way.
-  ErgMode erg_mode = ErgMode::kAuto;
   /// Dirty fraction above which the ErgCache rebuilds its X value index and
   /// working graph from scratch (see ErgRequest::dirty_fallback_threshold).
   double erg_dirty_threshold = 0.35;
@@ -112,9 +98,10 @@ struct StageTime {
 
 /// \brief Per-iteration deltas of the incremental-maintenance counters: how
 /// each cache serviced this iteration (delta applied vs. full rebuild vs.
-/// dirty-fraction fallback). All zero on the kFull reference paths; a stage
-/// silently regressing to full rebuilds shows up here in exported traces
-/// instead of only in benches.
+/// dirty-fraction fallback). The counters of the caches a reference
+/// pipeline (tests/support) bypasses stay zero; a stage silently regressing
+/// to full rebuilds shows up here in exported traces instead of only in
+/// benches.
 struct IncrementalityCounters {
   size_t detect_full_scans = 0;      ///< DetectionCache full scans
   size_t detect_delta_updates = 0;   ///< DetectionCache journal deltas
@@ -163,7 +150,7 @@ struct EngineContext {
   SimulatedUser user;   ///< answers questions from the oracle
   EmModel em;           ///< entity-matching model, fine-tuned per iteration
   std::unique_ptr<CqgSelector> selector;  ///< set by the driver's Initialize
-  ThreadPool* pool = nullptr;  ///< session-owned; null = serial benefits
+  ThreadPool* pool = nullptr;  ///< session-owned or lent; null = serial
   /// Per-iteration scratch arena: Reset() at every PlanIteration entry,
   /// so spans live exactly one plan phase (see common/arena.h). Holds the
   /// EM gather matrices, ERG traversal marks, and detector corpus tables.
@@ -183,19 +170,18 @@ struct EngineContext {
   }
   /// Cross-iteration cache behind incremental benefit estimation: baseline
   /// Q(D) + tuple->group provenance, refreshed per iteration from the
-  /// table's mutation journal (used only when benefit_mode == kAuto).
+  /// table's mutation journal.
   BenefitEngine benefit_engine;
   /// Cross-iteration caches behind incremental detection: blocking state,
-  /// row token sets, kNN neighbor lists, pair features (used only when
-  /// detection_mode == kAuto).
+  /// row token sets, kNN neighbor lists, pair features.
   DetectionCache detection;
   /// Cross-iteration question identity: per-type pools keyed by question
   /// identity with stable ids, plus the per-iteration delta the ErgCache
-  /// consumes (fed by AssembleStage in both erg modes).
+  /// consumes (fed by AssembleStage).
   QuestionStore question_store;
   /// Cross-iteration ERG maintenance: journal-driven X value index, the
   /// maintained A-question self-join, the maintained working graph, and the
-  /// per-iteration selection support (used only when erg_mode == kAuto).
+  /// per-iteration selection support.
   ErgCache erg_cache;
 
   // ---- Per-iteration products (refreshed by the stages) ----

@@ -108,7 +108,7 @@ const std::optional<std::string>& XValueIndex::SpellingOf(size_t row) const {
 namespace {
 
 // Everything a payload computation needs. `memo`/`stats` are null on the
-// stateless kFull path.
+// stateless AssembleFull path.
 struct AssemblyEnv {
   const Table* table = nullptr;
   const QuestionStore* store = nullptr;
@@ -142,7 +142,7 @@ double JaccardOf(const AssemblyEnv& env, const std::string& a,
 // A-pool by (similarity desc, key asc); promote the pair of spelling
 // representatives (min live row each) unless the row pair is already
 // claimed by a T-question or an earlier promotion. Skips do not consume
-// the cap. Identical in both assembly modes by construction.
+// the cap. Identical in the maintained and full assemblies by construction.
 std::map<AQuestionKey, std::pair<size_t, size_t>> SelectPromotions(
     const AssemblyEnv& env) {
   std::map<AQuestionKey, std::pair<size_t, size_t>> promoted;

@@ -11,14 +11,26 @@
 // Stages are stateless between iterations — everything lives in the context
 // — so any stage can be swapped, instrumented, or parallelized in isolation
 // (BenefitStage already fans out to the context's ThreadPool).
+//
+// Each stage runs one path: the incremental caches on the context, with
+// their own full-rebuild fallbacks. Where a stage reads a cache, that read
+// is one protected virtual hook; the reference pipeline the differential
+// suites and scaling benches compare against (tests/support/) overrides
+// exactly those hooks with the from-scratch building blocks and installs
+// its stage list through VisCleanSession::SetStageFactory.
 #ifndef VISCLEAN_CORE_PIPELINE_H_
 #define VISCLEAN_CORE_PIPELINE_H_
 
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "clean/a_question_gen.h"
 #include "common/status.h"
 #include "core/engine_context.h"
+#include "em/clustering.h"
 
 namespace visclean {
 
@@ -63,6 +75,12 @@ class DetectStage : public PipelineStage {
   const char* name() const override { return "detect"; }
   StageBucket bucket() const override { return StageBucket::kDetect; }
   Status Run(EngineContext& ctx) override;
+
+ protected:
+  /// Fills ctx.candidates and (for a numeric Y) the M-/O-questions for
+  /// `request`: journal-driven deltas through ctx.detection, pooled full
+  /// scans on its first iteration and past the dirty threshold.
+  virtual void Detect(EngineContext& ctx, const DetectionRequest& request);
 };
 
 /// EM model fine-tuning on the (thinned) candidate pairs + rescoring.
@@ -73,38 +91,74 @@ class TrainStage : public PipelineStage {
   Status Run(EngineContext& ctx) override;
 };
 
+/// \brief Base of the stages that ask how many live rows carry an X-column
+/// spelling: GenerateStage (is a witnessed spelling still live?) and the
+/// ask stages (golden-record election when a confirmed merge leaves the
+/// user's preferred spelling unknown).
+class XSpellingStage : public PipelineStage {
+ protected:
+  /// Live-row count of every spelling in `spellings` in the X column
+  /// (XColumnOrNoColumn; 0 when no live row carries it), read from the
+  /// ErgCache's journal-synced X value index.
+  virtual std::map<std::string, size_t> CountXSpellings(
+      EngineContext& ctx, const std::set<std::string>& spellings);
+
+  /// Confirm-edge repair: standardizes the two rows' X spellings (on the
+  /// user's preferred form, else the most frequent live one) and merges the
+  /// rows.
+  void ApplyConfirmedMatch(EngineContext& ctx, size_t row_a, size_t row_b);
+};
+
 /// Question generation (Algorithm 1): uncertain T-questions via active
 /// learning, A-questions from clusters + witnessed machine merges. Needs
 /// TrainStage's scores, hence a separate stage; its time is part of the
 /// paper's "Detect Errors" component.
-class GenerateStage : public PipelineStage {
+class GenerateStage : public XSpellingStage {
  public:
   const char* name() const override { return "generate"; }
   StageBucket bucket() const override { return StageBucket::kDetect; }
   Status Run(EngineContext& ctx) override;
+
+ protected:
+  /// Algorithm 1 over `clusters`; Strategy 2 reads the ErgCache's
+  /// journal-maintained similarity self-join.
+  virtual std::vector<AQuestion> GenerateA(EngineContext& ctx,
+                                           const EntityClusters& clusters,
+                                           size_t x_col,
+                                           const AQuestionOptions& options);
 };
 
 /// Question assembly + ERG construction (Definition 2.1): folds the
 /// iteration's QuestionSet into the QuestionStore pools and publishes the
-/// canonical ERG snapshot into ctx.erg — incrementally via the ErgCache
-/// (ErgMode::kAuto) or from scratch (kFull), bit-identically. Charged to
-/// the select bucket: this is the select-stage work the paper's Fig. 18
-/// shows growing with table size.
+/// canonical ERG snapshot into ctx.erg. Charged to the select bucket: this
+/// is the select-stage work the paper's Fig. 18 shows growing with table
+/// size.
 class AssembleStage : public PipelineStage {
  public:
   const char* name() const override { return "assemble"; }
   StageBucket bucket() const override { return StageBucket::kSelect; }
   Status Run(EngineContext& ctx) override;
+
+ protected:
+  /// Publishes the ERG over the just-ingested pools into ctx.erg, through
+  /// the ErgCache's maintained working graph.
+  virtual void Assemble(EngineContext& ctx, const ErgRequest& request);
 };
 
 /// Benefit estimation (Definition 5.1) over the assembled ERG. Fans
-/// speculative repairs out to ctx.pool when the session runs with
-/// threads > 1; results are bit-identical to the serial path.
+/// speculative repairs out to ctx.pool when the session has one; results
+/// are bit-identical to the serial path.
 class BenefitStage : public PipelineStage {
  public:
   const char* name() const override { return "benefit"; }
   StageBucket bucket() const override { return StageBucket::kBenefit; }
   Status Run(EngineContext& ctx) override;
+
+ protected:
+  /// The engine estimation renders against: ctx.benefit_engine, Prepare()d
+  /// on the current table so candidates re-aggregate only their dirty
+  /// groups.
+  virtual BenefitEngine* PreparedEngine(EngineContext& ctx);
 };
 
 /// CQG selection via ctx.selector, with the vertex-only fallback composite
@@ -114,11 +168,16 @@ class SelectStage : public PipelineStage {
   const char* name() const override { return "select"; }
   StageBucket bucket() const override { return StageBucket::kSelect; }
   Status Run(EngineContext& ctx) override;
+
+ protected:
+  /// The selection support handed to the selector with ctx.erg: the
+  /// ErgCache's, refreshed once on this iteration's published snapshot.
+  virtual const ErgSelectSupport* SelectSupport(EngineContext& ctx);
 };
 
 /// Composite user interaction: asks the selected CQG (edge questions with
 /// A-question follow-ups, vertex M-/O-questions) and applies the answers.
-class AskStage : public PipelineStage {
+class AskStage : public XSpellingStage {
  public:
   const char* name() const override { return "ask"; }
   StageBucket bucket() const override { return StageBucket::kApply; }
@@ -128,7 +187,7 @@ class AskStage : public PipelineStage {
 
 /// Single-question baseline interaction (Section VII, algorithm (vi)):
 /// m isolated questions per iteration, m/4 from each candidate set.
-class SingleAskStage : public PipelineStage {
+class SingleAskStage : public XSpellingStage {
  public:
   const char* name() const override { return "ask"; }
   StageBucket bucket() const override { return StageBucket::kApply; }

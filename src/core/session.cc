@@ -87,6 +87,12 @@ VisCleanSession::~VisCleanSession() = default;
 void VisCleanSession::SetExternalPool(ThreadPool* pool) {
   VC_CHECK(!initialized_, "SetExternalPool must precede Initialize()");
   external_pool_ = pool;
+  pool_lent_ = true;
+}
+
+void VisCleanSession::SetStageFactory(StageFactory factory) {
+  VC_CHECK(!initialized_, "SetStageFactory must precede Initialize()");
+  stage_factory_ = std::move(factory);
 }
 
 void VisCleanSession::SetExternalRegistry(obs::Registry* registry) {
@@ -100,7 +106,7 @@ Status VisCleanSession::Initialize() {
       MakeSelector(ctx_.options.selector, ctx_.options.seed);
   if (!selector.ok()) return selector.status();
   ctx_.selector = std::move(selector).value();
-  if (external_pool_ != nullptr) {
+  if (pool_lent_) {
     ctx_.pool = external_pool_;
   } else if (ctx_.options.threads > 1) {
     pool_ = std::make_unique<ThreadPool>(ctx_.options.threads);
@@ -119,7 +125,7 @@ Status VisCleanSession::Initialize() {
   // Validate the query against the table once up front.
   Result<VisData> vis = ExecuteVql(ctx_.query, ctx_.table);
   if (!vis.ok()) return vis.status();
-  stages_ = MakeStages(ctx_.options.strategy);
+  stages_ = stage_factory_(ctx_.options.strategy);
   initialized_ = true;
   return Status::Ok();
 }
@@ -180,7 +186,8 @@ Result<IterationTrace> VisCleanSession::ResolveIteration() {
   ctx_.trace.emd = CurrentEmd();
 
   // Per-iteration incrementality counters: everything the caches did since
-  // this round's plan entry (all zero on the kFull reference paths).
+  // this round's plan entry (zero for the caches a reference pipeline
+  // bypasses).
   {
     IncrementalityCounters now = CountersOf(ctx_);
     IncrementalityCounters& d = ctx_.trace.incremental;

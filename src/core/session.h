@@ -15,6 +15,7 @@
 #ifndef VISCLEAN_CORE_SESSION_H_
 #define VISCLEAN_CORE_SESSION_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,6 +44,11 @@ struct PendingInteraction {
   size_t pool_questions = 0;    ///< detected questions available this round
 };
 
+/// \brief Builds the stage list for a questioning strategy (see
+/// VisCleanSession::SetStageFactory).
+using StageFactory = std::function<std::vector<std::unique_ptr<PipelineStage>>(
+    QuestionStrategy strategy)>;
+
 /// \brief One end-to-end interactive cleaning run.
 class VisCleanSession {
  public:
@@ -55,8 +61,9 @@ class VisCleanSession {
   ~VisCleanSession();
 
   /// Step (2): resolves the selector, builds the stage list for the
-  /// configured strategy, and (for options.threads > 1) starts the worker
-  /// pool. Must be called once before RunIteration/Run.
+  /// configured strategy, and (for options.threads > 1, unless a pool was
+  /// lent) starts the worker pool. Must be called once before
+  /// RunIteration/Run.
   Status Initialize();
 
   /// One interaction round: runs every pipeline stage over the context,
@@ -110,9 +117,17 @@ class VisCleanSession {
   bool finished() const { return !pending_ && iteration_ >= ctx_.options.budget; }
 
   /// Lends an externally owned worker pool to this session (the serving
-  /// layer's shared pool). Must be called before Initialize(); overrides the
-  /// options.threads session-owned pool. The pool must outlive the session.
+  /// layer's shared pool); null makes the session compute serially. Either
+  /// way the session then never starts a pool of its own, whatever
+  /// options.threads says. Must be called before Initialize(); the pool
+  /// must outlive the session.
   void SetExternalPool(ThreadPool* pool);
+
+  /// Substitutes the stage list Initialize() builds (default MakeStages).
+  /// Must be called before Initialize(); RestoreState, which initializes,
+  /// replays a pending plan through the substituted stages. Only tests and
+  /// benches call this — to run the reference pipeline of tests/support.
+  void SetStageFactory(StageFactory factory);
 
   /// Lends a telemetry registry (the serving layer's per-manager
   /// obs::Registry) to this session. Must be called before Initialize();
@@ -140,6 +155,8 @@ class VisCleanSession {
   std::vector<std::unique_ptr<PipelineStage>> stages_;
   std::unique_ptr<ThreadPool> pool_;   ///< lives behind ctx_.pool
   ThreadPool* external_pool_ = nullptr;
+  bool pool_lent_ = false;  ///< SetExternalPool was called (even with null)
+  StageFactory stage_factory_ = MakeStages;
   obs::Registry* external_registry_ = nullptr;
 
   size_t iteration_ = 0;

@@ -7,7 +7,7 @@
 // selection.
 //
 // The graph supports two usage styles:
-//  * build-once (the kFull assembly path and most tests): AddVertex/AddEdge
+//  * build-once (ErgCache::AssembleFull and most tests): AddVertex/AddEdge
 //    only, every slot stays live;
 //  * maintained (core/erg_cache.h): RetractEdge/RetractVertex tombstone
 //    slots across iterations, and Compacted() emits the canonical dense
@@ -137,7 +137,7 @@ class ErgSelectSupport;
 /// support (graph/select_support.h): benefit orderings and induction
 /// scratch refreshed once by ErgCache instead of rebuilt per selector call.
 /// Selectors treat the support as an optional accelerator — absent support
-/// (the implicit constructor, the kFull reference path, plain tests) routes
+/// (the implicit constructor, the reference pipeline, plain tests) routes
 /// through the original per-call constructions, and the two paths are
 /// bit-identical.
 class ErgView {

@@ -335,14 +335,9 @@ class CommandParser {
     }
     if (k == "single_m") return ParseU64(value, &o.single_m);
     if (k == "threads") return ParseU64(value, &o.threads);
-    if (k == "benefit") return ParseTwoWay(value, "AUTO", "FULL", &o.benefit_mode);
-    if (k == "detection") {
-      return ParseTwoWay(value, "AUTO", "FULL", &o.detection_mode);
-    }
     if (k == "detection_threshold") {
       return ParseF64(value, &o.detection_dirty_threshold);
     }
-    if (k == "erg") return ParseTwoWay(value, "AUTO", "FULL", &o.erg_mode);
     if (k == "erg_threshold") return ParseF64(value, &o.erg_dirty_threshold);
     if (k == "seed") {
       size_t seed = 0;
@@ -460,11 +455,8 @@ std::string PrintCreate(const WireRequest& req) {
   p.TwoWay("strategy", o.strategy, d.strategy, "composite", "single");
   p.U("single_m", o.single_m, d.single_m);
   p.U("threads", o.threads, d.threads);
-  p.TwoWay("benefit", o.benefit_mode, d.benefit_mode, "auto", "full");
-  p.TwoWay("detection", o.detection_mode, d.detection_mode, "auto", "full");
   p.F("detection_threshold", o.detection_dirty_threshold,
       d.detection_dirty_threshold);
-  p.TwoWay("erg", o.erg_mode, d.erg_mode, "auto", "full");
   p.F("erg_threshold", o.erg_dirty_threshold, d.erg_dirty_threshold);
   p.U("seed", o.seed, d.seed);
   p.F("auto_merge", o.auto_merge_threshold, d.auto_merge_threshold);

@@ -142,10 +142,7 @@ inline void PutSessionOptions(Writer& w, const SessionOptions& o) {
   PutEnum(w, o.strategy);
   w.U64(o.single_m);
   w.U64(o.threads);
-  PutEnum(w, o.benefit_mode);
-  PutEnum(w, o.detection_mode);
   w.F64(o.detection_dirty_threshold);
-  PutEnum(w, o.erg_mode);
   w.F64(o.erg_dirty_threshold);
   w.U64(o.seed);
   w.F64(o.auto_merge_threshold);
@@ -169,10 +166,7 @@ inline SessionOptions GetSessionOptions(Reader& r, bool* bad) {
   o.strategy = GetEnum<QuestionStrategy>(r, 1, bad);
   o.single_m = r.U64();
   o.threads = r.U64();
-  o.benefit_mode = GetEnum<BenefitMode>(r, 1, bad);
-  o.detection_mode = GetEnum<DetectionMode>(r, 1, bad);
   o.detection_dirty_threshold = r.F64();
-  o.erg_mode = GetEnum<ErgMode>(r, 1, bad);
   o.erg_dirty_threshold = r.F64();
   o.seed = r.U64();
   o.auto_merge_threshold = r.F64();

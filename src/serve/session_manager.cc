@@ -135,7 +135,9 @@ Result<std::unique_ptr<VisCleanSession>> SessionManager::BuildSession(
   if (!query.ok()) return query.status();
   auto session = std::make_unique<VisCleanSession>(
       oracle, std::move(query).value(), options, user_options, cost_model);
-  if (pool_) session->SetExternalPool(pool_.get());
+  // Served sessions never own a pool: they borrow the manager's or run
+  // serially, whatever the client's options.threads says.
+  session->SetExternalPool(pool_.get());
   session->SetExternalRegistry(&registry_);
   VC_RETURN_IF_ERROR(session->Initialize());
   return session;

@@ -19,7 +19,7 @@ using codec::Reader;
 using codec::Writer;
 
 constexpr char kMagic[4] = {'V', 'C', 'S', 'N'};
-constexpr uint32_t kVersion = 2;
+constexpr uint32_t kVersion = 3;
 
 void PutValue(Writer& w, const Value& v) {
   PutEnum(w, v.type());

@@ -5,7 +5,7 @@
 // Frame layout (all integers little-endian):
 //
 //   magic   "VCWP"          4 bytes
-//   version u8              kWireVersion (4); any other value is a
+//   version u8              kWireVersion (5); any other value is a
 //                           malformed header
 //   length  u32             payload byte count, <= kMaxWirePayload
 //   payload length bytes    one request or response message
@@ -50,7 +50,7 @@ namespace visclean {
 inline constexpr char kWireMagic[4] = {'V', 'C', 'W', 'P'};
 /// The one version this build speaks; bumped whenever a payload layout
 /// changes.
-inline constexpr uint8_t kWireVersion = 4;
+inline constexpr uint8_t kWireVersion = 5;
 /// Hard payload bound: no legitimate message approaches this, and the bound
 /// keeps a corrupt or hostile length prefix from driving a huge allocation.
 inline constexpr uint32_t kMaxWirePayload = 16u * 1024u * 1024u;

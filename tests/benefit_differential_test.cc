@@ -1,12 +1,13 @@
 // Differential suite for the incremental benefit engine: the delta-based
-// path (provenance index + dirty-set re-aggregation, BenefitMode::kAuto)
-// must be bit-for-bit indistinguishable from re-rendering Q(D) from scratch
-// per candidate (BenefitMode::kFull) — same EMD trajectory, same estimated
-// benefits, same CQG selections, same final table — at any thread count.
+// path (provenance index + dirty-set re-aggregation) must be bit-for-bit
+// indistinguishable from the reference pipeline's re-render of Q(D) from
+// scratch per candidate (ReferencePart::kBenefit, tests/support) — same EMD
+// trajectory, same estimated benefits, same CQG selections, same final
+// table — at any thread count.
 //
 // The sweep runs 3 seeds x 3 synthetic datasets x {gss, gss+, bnb, 0.5-bnb,
-// random, single}; every configuration is executed three times (full/serial
-// reference, incremental/serial, incremental/8 threads) and compared on a
+// random, single}; every configuration is executed three times (reference/
+// serial, incremental/serial, incremental/8 threads) and compared on a
 // per-iteration fingerprint.
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "datagen/books.h"
 #include "datagen/nba.h"
 #include "datagen/publications.h"
+#include "support/reference_pipeline.h"
 #include "vql/parser.h"
 
 namespace visclean {
@@ -88,7 +90,7 @@ VqlQuery QueryFor(const std::string& name) {
 constexpr size_t kBudget = 2;
 
 SessionOptions SweepOptions(const std::string& selector, uint64_t seed,
-                            size_t threads, BenefitMode mode) {
+                            size_t threads) {
   SessionOptions o;
   o.k = 6;
   o.budget = kBudget;
@@ -98,7 +100,6 @@ SessionOptions SweepOptions(const std::string& selector, uint64_t seed,
   o.forest.num_trees = 8;
   o.seed = seed;
   o.threads = threads;
-  o.benefit_mode = mode;
   if (selector == "single") {
     o.strategy = QuestionStrategy::kSingle;
   } else {
@@ -111,14 +112,16 @@ SessionOptions SweepOptions(const std::string& selector, uint64_t seed,
 struct RunRecord {
   std::vector<std::string> iterations;
   std::string final_table;
+  bool engine_primed = false;  ///< the BenefitEngine was ever Prepare()d
 };
 
 RunRecord RunVariant(const std::string& dataset, uint64_t seed,
                      const std::string& selector, size_t threads,
-                     BenefitMode mode) {
+                     bool reference) {
   DirtyDataset data = MakeData(dataset, seed);
   VisCleanSession session(&data, QueryFor(dataset),
-                          SweepOptions(selector, seed, threads, mode));
+                          SweepOptions(selector, seed, threads));
+  if (reference) UseReferenceStages(session, ReferencePart::kBenefit);
   EXPECT_TRUE(session.Initialize().ok());
   RunRecord record;
   for (size_t i = 0; i < kBudget; ++i) {
@@ -132,6 +135,7 @@ RunRecord RunVariant(const std::string& dataset, uint64_t seed,
     record.iterations.push_back(std::move(line));
   }
   record.final_table = TableFingerprint(session.table());
+  record.engine_primed = session.context().benefit_engine.primed();
   return record;
 }
 
@@ -141,14 +145,19 @@ void SweepDataset(const std::string& dataset) {
   for (uint64_t seed : {11u, 12u, 13u}) {
     for (const std::string& sel : selectors) {
       SCOPED_TRACE(dataset + " seed=" + std::to_string(seed) + " sel=" + sel);
-      RunRecord full = RunVariant(dataset, seed, sel, 1, BenefitMode::kFull);
-      RunRecord inc1 = RunVariant(dataset, seed, sel, 1, BenefitMode::kAuto);
-      RunRecord inc8 = RunVariant(dataset, seed, sel, 8, BenefitMode::kAuto);
+      RunRecord full = RunVariant(dataset, seed, sel, 1, /*reference=*/true);
+      RunRecord inc1 = RunVariant(dataset, seed, sel, 1, /*reference=*/false);
+      RunRecord inc8 = RunVariant(dataset, seed, sel, 8, /*reference=*/false);
       ASSERT_EQ(full.iterations.size(), kBudget);
       EXPECT_EQ(full.iterations, inc1.iterations);
       EXPECT_EQ(full.iterations, inc8.iterations);
       EXPECT_EQ(full.final_table, inc1.final_table);
       EXPECT_EQ(full.final_table, inc8.final_table);
+      // The reference must never Prepare() the engine; production must
+      // (composite strategy only — kSingle has no benefit stage).
+      EXPECT_FALSE(full.engine_primed);
+      EXPECT_EQ(inc1.engine_primed, sel != "single");
+      EXPECT_EQ(inc8.engine_primed, sel != "single");
     }
   }
 }
@@ -160,12 +169,11 @@ TEST(BenefitDifferentialTest, BooksSweep) { SweepDataset("D3"); }
 // Direct EstimateBenefits-level differential on a mid-run context: after a
 // few iterations the table carries accepted repairs, merges, and a non-empty
 // journal — exactly the state the engine folds in via CommitVqlDelta. Every
-// edge benefit must carry identical bits across (mode, threads).
+// edge benefit must carry identical bits across (engine, threads).
 TEST(BenefitDifferentialTest, MidRunEstimateBitsMatchAcrossModes) {
   DirtyDataset data = MakeData("D1", 21);
   VqlQuery query = QueryFor("D1");
-  VisCleanSession session(&data, query,
-                          SweepOptions("gss", 21, 1, BenefitMode::kAuto));
+  VisCleanSession session(&data, query, SweepOptions("gss", 21, 1));
   ASSERT_TRUE(session.Initialize().ok());
   for (size_t i = 0; i < 2; ++i) ASSERT_TRUE(session.RunIteration().ok());
   ASSERT_GT(session.erg().num_edges(), 0u);
@@ -185,8 +193,6 @@ TEST(BenefitDifferentialTest, MidRunEstimateBitsMatchAcrossModes) {
     if (use_engine) {
       engine.Prepare(query, &table);
       o.engine = &engine;
-    } else {
-      o.mode = BenefitMode::kFull;
     }
     EstimateBenefits(query, &table, &erg, o);
     std::vector<double> benefits;

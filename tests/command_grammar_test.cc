@@ -66,12 +66,12 @@ TEST(CommandGrammarTest, EveryCreateOptionParsesAndPrints) {
   const std::string line =
       "CREATE s1 ON D2 QUERY \"q\" WITH "
       "k=6 budget=3 selector=0.5-bnb strategy=single single_m=8 threads=2 "
-      "benefit=full detection=full detection_threshold=0.41 erg=full "
-      "erg_threshold=0.17 seed=1234 auto_merge=0.9 lambda=0.25 max_t=40 "
-      "max_m=41 max_block=12 max_seed=999 trees=9 tree_depth=7 "
-      "tree_min_split=3 tree_max_features=5 bootstrap=0.6 wrong_rate=0.05 "
-      "completeness=0.8 user_seed=42 cost_cqg_base=1.5 cost_cqg_edge=2.5 "
-      "cost_cqg_vertex=3.5 cost_t=4.5 cost_a=5.5 cost_m=6.5 cost_o=7.5";
+      "detection_threshold=0.41 erg_threshold=0.17 seed=1234 auto_merge=0.9 "
+      "lambda=0.25 max_t=40 max_m=41 max_block=12 max_seed=999 trees=9 "
+      "tree_depth=7 tree_min_split=3 tree_max_features=5 bootstrap=0.6 "
+      "wrong_rate=0.05 completeness=0.8 user_seed=42 cost_cqg_base=1.5 "
+      "cost_cqg_edge=2.5 cost_cqg_vertex=3.5 cost_t=4.5 cost_a=5.5 cost_m=6.5 "
+      "cost_o=7.5";
   Result<WireRequest> parsed = ParseCommand(line);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const WireRequest& req = parsed.value();
@@ -81,10 +81,7 @@ TEST(CommandGrammarTest, EveryCreateOptionParsesAndPrints) {
   EXPECT_EQ(req.options.strategy, QuestionStrategy::kSingle);
   EXPECT_EQ(req.options.single_m, 8u);
   EXPECT_EQ(req.options.threads, 2u);
-  EXPECT_EQ(req.options.benefit_mode, BenefitMode::kFull);
-  EXPECT_EQ(req.options.detection_mode, DetectionMode::kFull);
   EXPECT_DOUBLE_EQ(req.options.detection_dirty_threshold, 0.41);
-  EXPECT_EQ(req.options.erg_mode, ErgMode::kFull);
   EXPECT_DOUBLE_EQ(req.options.erg_dirty_threshold, 0.17);
   EXPECT_EQ(req.options.seed, 1234u);
   EXPECT_DOUBLE_EQ(req.options.auto_merge_threshold, 0.9);
@@ -188,6 +185,18 @@ TEST(CommandGrammarTest, ErrorsCarryPreciseColumns) {
   ExpectErrorAt("CREATE a ON D1 QUERY \"bad \\z escape\"",
                 "col 28: unknown escape");
   ExpectErrorAt("STEP @alice", "col 6: unexpected character '@'");
+}
+
+// The test-oracle selectors are not session options: the reference
+// pipeline they once chose lives in the tests, so their keys are unknown.
+TEST(CommandGrammarTest, OracleModeKeysAreUnknownOptions) {
+  //        1234567890123456789012345678901234567
+  ExpectErrorAt("CREATE a ON D1 QUERY \"q\" WITH k=6 benefit=full",
+                "col 35: unknown option 'benefit'");
+  ExpectErrorAt("CREATE a ON D1 QUERY \"q\" WITH k=6 detection=full",
+                "col 35: unknown option 'detection'");
+  ExpectErrorAt("CREATE a ON D1 QUERY \"q\" WITH k=6 erg=auto",
+                "col 35: unknown option 'erg'");
 }
 
 TEST(CommandGrammarTest, ResponseLinesPrintDeterministically) {

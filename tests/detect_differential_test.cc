@@ -1,13 +1,15 @@
 // Differential suite for the incremental detection substrate: detection
-// routed through the DetectionCache (DetectionMode::kAuto — journal-driven
-// per-row deltas, pooled full scans, memoized features and sim-joins) must
-// be bit-for-bit indistinguishable from the legacy serial free functions
-// (DetectionMode::kFull) — same candidate pairs, same question sets, same
-// EMD trajectory, same final table — at any thread count.
+// routed through the DetectionCache (journal-driven per-row deltas, pooled
+// full scans, memoized features and sim-joins) must be bit-for-bit
+// indistinguishable from the reference pipeline's legacy serial free
+// functions (ReferencePart::kDetect, tests/support) — same candidate pairs,
+// same question sets, same EMD trajectory, same final table — at any thread
+// count.
 //
 // Three layers:
 //  * whole-session lockstep: 3 synthetic datasets x 3 seeds x
-//    {full/serial, auto/serial, auto/8 threads}, compared per iteration;
+//    {reference/serial, incremental/serial, incremental/8 threads},
+//    compared per iteration;
 //  * detector-level: FullScan then N random accepted repairs then Update
 //    must equal a from-scratch FullScan and the legacy free functions;
 //  * unit tests for the cache layers (kNN merge exactness, feature memo,
@@ -34,6 +36,7 @@
 #include "em/blocking.h"
 #include "em/pair_features.h"
 #include "ml/knn.h"
+#include "support/reference_pipeline.h"
 #include "text/sim_join.h"
 #include "text/tokenize.h"
 #include "vql/parser.h"
@@ -140,8 +143,7 @@ std::string YColumnFor(const std::string& name) {
 
 constexpr size_t kBudget = 3;
 
-SessionOptions SweepOptions(uint64_t seed, size_t threads,
-                            DetectionMode mode) {
+SessionOptions SweepOptions(uint64_t seed, size_t threads) {
   SessionOptions o;
   o.k = 6;
   o.budget = kBudget;
@@ -150,7 +152,6 @@ SessionOptions SweepOptions(uint64_t seed, size_t threads,
   o.forest.num_trees = 8;
   o.seed = seed;
   o.threads = threads;
-  o.detection_mode = mode;
   return o;
 }
 
@@ -162,10 +163,11 @@ struct RunRecord {
 };
 
 RunRecord RunVariant(const std::string& dataset, uint64_t seed,
-                     size_t threads, DetectionMode mode) {
+                     size_t threads, bool reference) {
   DirtyDataset data = MakeData(dataset, seed);
   VisCleanSession session(&data, QueryFor(dataset),
-                          SweepOptions(seed, threads, mode));
+                          SweepOptions(seed, threads));
+  if (reference) UseReferenceStages(session, ReferencePart::kDetect);
   EXPECT_TRUE(session.Initialize().ok());
   RunRecord record;
   for (size_t i = 0; i < kBudget; ++i) {
@@ -187,20 +189,21 @@ void SweepDataset(const std::string& dataset) {
   size_t delta_updates_seen = 0;
   for (uint64_t seed : {11u, 12u, 13u}) {
     SCOPED_TRACE(dataset + " seed=" + std::to_string(seed));
-    RunRecord full = RunVariant(dataset, seed, 1, DetectionMode::kFull);
-    RunRecord inc1 = RunVariant(dataset, seed, 1, DetectionMode::kAuto);
-    RunRecord inc8 = RunVariant(dataset, seed, 8, DetectionMode::kAuto);
+    RunRecord full = RunVariant(dataset, seed, 1, /*reference=*/true);
+    RunRecord inc1 = RunVariant(dataset, seed, 1, /*reference=*/false);
+    RunRecord inc8 = RunVariant(dataset, seed, 8, /*reference=*/false);
     ASSERT_EQ(full.iterations.size(), kBudget);
     EXPECT_EQ(full.iterations, inc1.iterations);
     EXPECT_EQ(full.iterations, inc8.iterations);
     EXPECT_EQ(full.final_table, inc1.final_table);
     EXPECT_EQ(full.final_table, inc8.final_table);
-    // kFull must never touch the cache; kAuto must actually use it.
+    // The reference must never touch the cache; production must use it.
     EXPECT_EQ(full.stats.full_scans + full.stats.delta_updates, 0u);
     EXPECT_GE(inc1.stats.full_scans, 1u);
     delta_updates_seen += inc1.stats.delta_updates + inc8.stats.delta_updates;
   }
-  // The sweep is pointless if every kAuto iteration fell back to full scans.
+  // The sweep is pointless if every incremental iteration fell back to full
+  // scans.
   EXPECT_GT(delta_updates_seen, 0u);
 }
 

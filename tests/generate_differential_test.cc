@@ -2,14 +2,15 @@
 // similarity join (ErgCache::SyncSimJoin feeding GenerateAQuestions'
 // maintained path) and the maintained CQG selection support
 // (ErgCache::RefreshSelectSupport behind ErgView) must be bit-for-bit
-// indistinguishable from the from-scratch pipeline — same A-questions, same
+// indistinguishable from the reference pipeline (ReferencePart::kErg,
+// tests/support: scratch join, support-less views) — same A-questions, same
 // published ERG, same CQG selections, same EMD trajectory, same final table
 // — at any thread count.
 //
 // The sweep runs 3 seeds x 3 synthetic datasets x {gss, gss+, bnb, 0.5-bnb,
-// random, single}; every configuration executes three times (full/1
-// reference, incremental/1, incremental/8) in lockstep, with a seeded repair
-// storm mutating the working table between iterations to force journal
+// random, single}; every configuration executes three times (reference/1,
+// incremental/1, incremental/8) in lockstep, with a seeded repair storm
+// mutating the working table between iterations to force journal
 // churn through the join's insert/retract machinery. A dedicated case
 // forces the dirty-fraction fallback, and a stepped in-situ test compares
 // SyncSimJoin against a scratch SimilaritySelfJoin after every storm.
@@ -25,6 +26,7 @@
 #include "datagen/books.h"
 #include "datagen/nba.h"
 #include "datagen/publications.h"
+#include "support/reference_pipeline.h"
 #include "text/sim_join.h"
 #include "vql/parser.h"
 
@@ -118,7 +120,7 @@ VqlQuery QueryFor(const std::string& name) {
 constexpr size_t kBudget = 3;
 
 SessionOptions SweepOptions(const std::string& selector, uint64_t seed,
-                            size_t threads, ErgMode mode) {
+                            size_t threads) {
   SessionOptions o;
   o.k = 6;
   o.budget = kBudget;
@@ -128,7 +130,6 @@ SessionOptions SweepOptions(const std::string& selector, uint64_t seed,
   o.forest.num_trees = 8;
   o.seed = seed;
   o.threads = threads;
-  o.erg_mode = mode;
   if (selector == "single") {
     o.strategy = QuestionStrategy::kSingle;
   } else {
@@ -181,11 +182,12 @@ struct RunRecord {
 };
 
 RunRecord RunVariant(const std::string& dataset, uint64_t seed,
-                     const std::string& selector, size_t threads, ErgMode mode,
-                     bool storm) {
+                     const std::string& selector, size_t threads,
+                     bool reference, bool storm) {
   DirtyDataset data = MakeData(dataset, seed);
   VisCleanSession session(&data, QueryFor(dataset),
-                          SweepOptions(selector, seed, threads, mode));
+                          SweepOptions(selector, seed, threads));
+  if (reference) UseReferenceStages(session, ReferencePart::kErg);
   EXPECT_TRUE(session.Initialize().ok());
   RunRecord record;
   for (size_t i = 0; i < kBudget; ++i) {
@@ -220,22 +222,24 @@ void SweepDataset(const std::string& dataset) {
     for (const std::string& sel : selectors) {
       SCOPED_TRACE(dataset + " seed=" + std::to_string(seed) + " sel=" + sel);
       bool storm = sel != "single";  // singles mutate plenty on their own
-      RunRecord full =
-          RunVariant(dataset, seed, sel, 1, ErgMode::kFull, storm);
-      RunRecord inc1 =
-          RunVariant(dataset, seed, sel, 1, ErgMode::kAuto, storm);
-      RunRecord inc8 =
-          RunVariant(dataset, seed, sel, 8, ErgMode::kAuto, storm);
+      RunRecord full = RunVariant(dataset, seed, sel, 1, /*reference=*/true,
+                                  storm);
+      RunRecord inc1 = RunVariant(dataset, seed, sel, 1, /*reference=*/false,
+                                  storm);
+      RunRecord inc8 = RunVariant(dataset, seed, sel, 8, /*reference=*/false,
+                                  storm);
       ASSERT_EQ(full.iterations.size(), kBudget);
       EXPECT_EQ(full.iterations, inc1.iterations);
       EXPECT_EQ(full.iterations, inc8.iterations);
       EXPECT_EQ(full.final_table, inc1.final_table);
       EXPECT_EQ(full.final_table, inc8.final_table);
-      // kFull must not touch the maintained join or the select support;
-      // kAuto must actually maintain the join (where the query has a
-      // categorical X column at all — D3's Author is text, so generate
-      // skips A-questions there) and must refresh the support every round
-      // (composite strategy only — kSingle skips Assemble/Select entirely).
+      // The reference must not touch the maintained join or the select
+      // support; production must actually maintain the join (where the
+      // query has a categorical X column at all — D3's Author is text, so
+      // generate skips A-questions there) and must refresh the support
+      // every round (composite strategy only — kSingle skips
+      // Assemble/Select entirely).
+      EXPECT_FALSE(full.join_primed);
       EXPECT_EQ(full.join_full, 0u);
       EXPECT_EQ(full.join_delta_syncs, 0u);
       EXPECT_EQ(full.support_refreshes, 0u);
@@ -261,7 +265,7 @@ TEST(GenerateDifferentialTest, BooksSweep) { SweepDataset("D3"); }
 // be exceeded) the only full join is the iteration-1 prime.
 TEST(GenerateDifferentialTest, QuietRunServicesJoinWithDeltas) {
   DirtyDataset data = MakeData("D1", 11);
-  SessionOptions options = SweepOptions("gss", 11, 1, ErgMode::kAuto);
+  SessionOptions options = SweepOptions("gss", 11, 1);
   options.erg_dirty_threshold = 1.0;
   VisCleanSession session(&data, QueryFor("D1"), options);
   ASSERT_TRUE(session.Initialize().ok());
@@ -277,7 +281,7 @@ TEST(GenerateDifferentialTest, QuietRunServicesJoinWithDeltas) {
 // outputs stay bit-identical when it fires.
 TEST(GenerateDifferentialTest, HeavyStormTripsJoinFallback) {
   DirtyDataset data = MakeData("D1", 33);
-  SessionOptions options = SweepOptions("gss", 33, 1, ErgMode::kAuto);
+  SessionOptions options = SweepOptions("gss", 33, 1);
   options.erg_dirty_threshold = 0.0;  // any dirt forces the fallback
   VisCleanSession session(&data, QueryFor("D1"), options);
   ASSERT_TRUE(session.Initialize().ok());

@@ -1,14 +1,14 @@
 // Differential suite for the incremental select stage: journal-driven ERG
-// maintenance (QuestionStore deltas + ErgCache insert-retract,
-// ErgMode::kAuto) must be bit-for-bit indistinguishable from assembling the
-// graph from scratch every iteration (ErgMode::kFull) — same published ERG,
-// same CQG selections, same EMD trajectory, same final table — at any
-// thread count.
+// maintenance (QuestionStore deltas + ErgCache insert-retract) must be
+// bit-for-bit indistinguishable from the reference pipeline's from-scratch
+// assembly every iteration (ReferencePart::kErg, tests/support) — same
+// published ERG, same CQG selections, same EMD trajectory, same final
+// table — at any thread count.
 //
 // The sweep runs 3 seeds x 3 synthetic datasets x {gss, gss+, bnb, 0.5-bnb,
-// random, single}; every configuration executes three times (full/1
-// reference, incremental/1, incremental/8) in lockstep. Between iterations
-// a seeded repair storm mutates the working table directly (cell rewrites,
+// random, single}; every configuration executes three times (reference/1,
+// incremental/1, incremental/8) in lockstep. Between iterations a seeded
+// repair storm mutates the working table directly (cell rewrites,
 // spelling copies, row kills), forcing journal churn through the value
 // index's fold/fallback machinery — the storm is identical across variants
 // because the tables are (that is the invariant under test).
@@ -26,6 +26,7 @@
 #include "datagen/books.h"
 #include "datagen/nba.h"
 #include "datagen/publications.h"
+#include "support/reference_pipeline.h"
 #include "vql/parser.h"
 
 namespace visclean {
@@ -124,7 +125,7 @@ VqlQuery QueryFor(const std::string& name) {
 constexpr size_t kBudget = 3;
 
 SessionOptions SweepOptions(const std::string& selector, uint64_t seed,
-                            size_t threads, ErgMode mode) {
+                            size_t threads) {
   SessionOptions o;
   o.k = 6;
   o.budget = kBudget;
@@ -134,7 +135,6 @@ SessionOptions SweepOptions(const std::string& selector, uint64_t seed,
   o.forest.num_trees = 8;
   o.seed = seed;
   o.threads = threads;
-  o.erg_mode = mode;
   if (selector == "single") {
     o.strategy = QuestionStrategy::kSingle;
   } else {
@@ -188,11 +188,12 @@ struct RunRecord {
 };
 
 RunRecord RunVariant(const std::string& dataset, uint64_t seed,
-                     const std::string& selector, size_t threads, ErgMode mode,
-                     bool storm) {
+                     const std::string& selector, size_t threads,
+                     bool reference, bool storm) {
   DirtyDataset data = MakeData(dataset, seed);
   VisCleanSession session(&data, QueryFor(dataset),
-                          SweepOptions(selector, seed, threads, mode));
+                          SweepOptions(selector, seed, threads));
+  if (reference) UseReferenceStages(session, ReferencePart::kErg);
   EXPECT_TRUE(session.Initialize().ok());
   RunRecord record;
   for (size_t i = 0; i < kBudget; ++i) {
@@ -222,12 +223,12 @@ void SweepDataset(const std::string& dataset) {
     for (const std::string& sel : selectors) {
       SCOPED_TRACE(dataset + " seed=" + std::to_string(seed) + " sel=" + sel);
       bool storm = sel != "single";  // singles mutate plenty on their own
-      RunRecord full =
-          RunVariant(dataset, seed, sel, 1, ErgMode::kFull, storm);
-      RunRecord inc1 =
-          RunVariant(dataset, seed, sel, 1, ErgMode::kAuto, storm);
-      RunRecord inc8 =
-          RunVariant(dataset, seed, sel, 8, ErgMode::kAuto, storm);
+      RunRecord full = RunVariant(dataset, seed, sel, 1, /*reference=*/true,
+                                  storm);
+      RunRecord inc1 = RunVariant(dataset, seed, sel, 1, /*reference=*/false,
+                                  storm);
+      RunRecord inc8 = RunVariant(dataset, seed, sel, 8, /*reference=*/false,
+                                  storm);
       ASSERT_EQ(full.iterations.size(), kBudget);
       EXPECT_EQ(full.iterations, inc1.iterations);
       EXPECT_EQ(full.iterations, inc8.iterations);
@@ -238,8 +239,10 @@ void SweepDataset(const std::string& dataset) {
         // silently rebuild every iteration (first build is always full).
         EXPECT_GT(inc1.delta_updates, 0u);
         EXPECT_GT(inc8.delta_updates, 0u);
-        EXPECT_EQ(full.delta_updates, 0u);
       }
+      // The reference never touches the ErgCache's working graph.
+      EXPECT_EQ(full.delta_updates, 0u);
+      EXPECT_EQ(full.full_builds, 0u);
     }
   }
 }
@@ -325,7 +328,7 @@ TEST(SelectDifferentialTest, SteppedCacheMatchesScratchAssemblyEveryStep) {
 TEST(SelectDifferentialTest, HeavyStormTripsFallbackFullBuild) {
   DirtyDataset data = MakeData("D1", 33);
   VqlQuery query = QueryFor("D1");
-  SessionOptions options = SweepOptions("gss", 33, 1, ErgMode::kAuto);
+  SessionOptions options = SweepOptions("gss", 33, 1);
   options.erg_dirty_threshold = 0.0;  // any dirt forces the fallback
   VisCleanSession session(&data, query, options);
   ASSERT_TRUE(session.Initialize().ok());

@@ -137,6 +137,23 @@ TEST(SnapshotCodecTest, RejectsCorruptInputWithoutAborting) {
   EXPECT_FALSE(DecodeSnapshot(bad_version).ok());
 }
 
+// Version 2 snapshots carried the three oracle-mode bytes in their options
+// block; the current layout cannot read them, so the version gate refuses
+// them up front instead of misparsing every later field.
+TEST(SnapshotCodecTest, RejectsVersionTwoSnapshot) {
+  DirtyDataset data = SmallPublications();
+  std::string bytes = EncodeSnapshot(CapturedState(&data, false));
+  ASSERT_TRUE(DecodeSnapshot(bytes).ok());
+  bytes[4] = char(2);  // u32 little-endian version after the 4-byte magic
+  bytes[5] = bytes[6] = bytes[7] = char(0);
+  Result<SessionSnapshotState> decoded = DecodeSnapshot(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("unsupported snapshot version 2"),
+            std::string::npos)
+      << decoded.status().ToString();
+}
+
 // Single-byte corruption fuzz: overwriting any one byte with an adversarial
 // value must yield a clean decode result — never an abort (e.g. a cell-tag
 // byte pushed out of enum range used to drive MarkDead past the appended
@@ -483,6 +500,37 @@ TEST(SessionManagerTest, SharedPoolSessionsMatchSerialSessions) {
   }
   EXPECT_EQ(serial_manager.GetStatus("s").value().emd,
             pooled_manager.GetStatus("s").value().emd);
+}
+
+// Entries in /proc/self/task: this process's OS threads.
+size_t OsThreadCount() {
+  std::error_code ec;
+  size_t n = 0;
+  for (auto it = std::filesystem::directory_iterator("/proc/self/task", ec);
+       !ec && it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(SessionManagerTest, ClientThreadsOptionStartsNoThreads) {
+  // A client's options.threads must not choose how many OS threads the
+  // server starts: with pool_threads = 0 served sessions compute serially.
+  DirtyDataset data = SmallPublications();
+  SessionManager manager;  // pool_threads = 0: no pool
+  ASSERT_TRUE(manager.RegisterDataset(&data).ok());
+  const size_t before = OsThreadCount();
+  ASSERT_GT(before, 0u);
+
+  SessionOptions options = FastOptions();
+  options.threads = 8;
+  ASSERT_TRUE(manager.Create("s", data.name, kPubQuery, options).ok());
+  EXPECT_EQ(OsThreadCount(), before);
+  // Planning runs every pooled kernel (detection, EM, benefits) once.
+  ASSERT_TRUE(manager.Step("s").ok());
+  EXPECT_EQ(OsThreadCount(), before);
+  ASSERT_TRUE(manager.Answer("s").ok());
+  EXPECT_EQ(OsThreadCount(), before);
 }
 
 }  // namespace

@@ -39,10 +39,7 @@ WireRequest FullCreate() {
   req.options.strategy = QuestionStrategy::kSingle;
   req.options.single_m = 8;
   req.options.threads = 2;
-  req.options.benefit_mode = BenefitMode::kFull;
-  req.options.detection_mode = DetectionMode::kFull;
   req.options.detection_dirty_threshold = 0.41;
-  req.options.erg_mode = ErgMode::kFull;
   req.options.erg_dirty_threshold = 0.17;
   req.options.seed = 1234;
   req.options.auto_merge_threshold = 0.9;
@@ -498,11 +495,11 @@ TEST(WireVersionTest, FrameVersionIsReportedAndBounded) {
   std::string frame = EncodeRequest(step);
   EXPECT_EQ(static_cast<uint8_t>(frame[4]), kWireVersion);
 
-  // Any other version is a malformed header: 1 (pre-history), 2 and 3
-  // (older layouts) and kWireVersion + 1 (the future) all close the
-  // connection.
+  // Any other version is a malformed header: 1 (pre-history), 2 to 4
+  // (older layouts; 4 still carried the oracle-mode bytes in Create) and
+  // kWireVersion + 1 (the future) all close the connection.
   std::string payload;
-  for (uint8_t bad : {uint8_t{1}, uint8_t{2}, uint8_t{3},
+  for (uint8_t bad : {uint8_t{1}, uint8_t{2}, uint8_t{3}, uint8_t{4},
                       static_cast<uint8_t>(kWireVersion + 1)}) {
     std::string bad_frame = frame;
     bad_frame[4] = static_cast<char>(bad);
